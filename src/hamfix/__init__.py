@@ -35,7 +35,6 @@ from .cohomology import (
     cohomology_report,
     equivariant_basis,
     expand_in_basis,
-    lambda_products,
     localize_integral,
     ring_presentation,
     total_chern,
@@ -55,6 +54,7 @@ from .search import (
     SearchResult,
     SearchSpec,
     SearchStats,
+    SpecError,
     TheoremReport,
     enumerate_configurations,
     theorem4_weight_system,

@@ -34,6 +34,7 @@ from .model import (
 from .search import (
     BudgetExceeded,
     SearchSpec,
+    SpecError,
     enumerate_configurations,
     verify_theorem1,
     verify_theorem2,
@@ -129,10 +130,11 @@ def _cmd_report(args) -> int:
 def _parse_pairs(values) -> tuple[tuple[int, int], ...]:
     pairs = []
     for text in values or ():
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise ParamError(f"expected a vertex pair like 0,5 -- got {text!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            i, j = (int(part) for part in text.split(","))
+        except ValueError:
+            raise ParamError(f"expected a vertex pair like 0,5 -- got {text!r}") from None
+        pairs.append((i, j))
     return tuple(pairs)
 
 
@@ -184,12 +186,10 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify(args) -> int:
     if args.theorem == "thm1":
         report = verify_theorem1(
-            max_width=args.max_width or 40,
-            max_weight=args.max_weight or 4,
-            workers=args.threads,
+            max_width=args.max_width, max_weight=args.max_weight, workers=args.threads
         )
     elif args.theorem == "thm2":
-        report = verify_theorem2(max_width=args.max_width or 40, workers=args.threads)
+        report = verify_theorem2(max_width=args.max_width, workers=args.threads)
     elif args.theorem == "thm3":
         report = verify_theorem3(workers=args.threads)
     else:
@@ -291,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a classification verifier")
     p_verify.add_argument("theorem", choices=("thm1", "thm2", "thm3", "thm4"))
-    p_verify.add_argument("--max-weight", type=int, default=None)
-    p_verify.add_argument("--max-width", type=int, default=None)
+    p_verify.add_argument("--max-weight", type=int, default=4)
+    p_verify.add_argument("--max-width", type=int, default=40)
     p_verify.add_argument("--a", type=int, default=None)
     p_verify.add_argument("--c", type=int, default=None)
     p_verify.add_argument("--threads", type=int, default=None)
@@ -323,7 +323,7 @@ def main(argv=None) -> int:
         parser.error("examples show/export requires a builtin name")
     try:
         return args.func(args)
-    except (SchemaError, ParamError, DegenerateDirection, StructureError) as exc:
+    except (SchemaError, ParamError, SpecError, DegenerateDirection, StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except BudgetExceeded as exc:

@@ -112,22 +112,6 @@ def u_tilde(c: Configuration) -> EquivariantClass:
     return EquivariantClass(2, tuple(Fraction(-v) for v in c.profile.values))
 
 
-def lambda_products(ws: WeightSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-vertex products of the negative weights and of all weights."""
-    lam_minus = []
-    lam = []
-    for weights in ws.weights:
-        neg = 1
-        tot = 1
-        for w in weights:
-            tot *= w
-            if w < 0:
-                neg *= w
-        lam_minus.append(neg)
-        lam.append(tot)
-    return tuple(lam_minus), tuple(lam)
-
-
 def ring_presentation(c: Configuration) -> RingPresentation:
     """Multipliers of the integral generators in each even degree.
 
@@ -135,7 +119,10 @@ def ring_presentation(c: Configuration) -> RingPresentation:
     product of the moment gaps down from it.  Raises IntegralityError when
     some 1/q_i is not an integer, DualityError when q_i q_{5-i} != q_5.
     """
-    ws = derive_weight_system(c)
+    return _ring_presentation(c, derive_weight_system(c))
+
+
+def _ring_presentation(c: Configuration, ws: WeightSystem) -> RingPresentation:
     phi = c.profile.values
     q = []
     a = []
@@ -163,8 +150,13 @@ def ring_presentation(c: Configuration) -> RingPresentation:
 
 def equivariant_basis(c: Configuration) -> EquivariantBasis:
     """Build the triangular basis classes and verify their vanishing pattern."""
-    rp = ring_presentation(c)
     ws = derive_weight_system(c)
+    return _equivariant_basis(c, ws, _ring_presentation(c, ws))
+
+
+def _equivariant_basis(
+    c: Configuration, ws: WeightSystem, rp: RingPresentation
+) -> EquivariantBasis:
     phi = c.profile.values
     classes = []
     for i in range(N_POINTS):
@@ -241,8 +233,11 @@ def expand_in_basis(
 
 def total_chern(c: Configuration) -> ChernReport:
     """Expand every equivariant Chern class; the diagonal gives the ordinary ones."""
-    basis = equivariant_basis(c)
     ws = derive_weight_system(c)
+    return _total_chern(ws, _equivariant_basis(c, ws, _ring_presentation(c, ws)))
+
+
+def _total_chern(ws: WeightSystem, basis: EquivariantBasis) -> ChernReport:
     rows = []
     for m in range(1, DIM + 1):
         rows.append(expand_in_basis(chern_restrictions(ws, m), basis, require_integral=True))
@@ -262,17 +257,16 @@ def localize_integral(x: EquivariantClass, ws: WeightSystem) -> Fraction:
     """
     if x.degree > 2 * DIM:
         raise ValueError(f"degree {x.degree} exceeds the manifold dimension")
-    _, lam = lambda_products(ws)
     return sum(
-        (x.coeffs[i] / lam[i] for i in range(N_POINTS)), Fraction(0)
+        (x.coeffs[i] / ws.lam[i] for i in range(N_POINTS)), Fraction(0)
     )
 
 
 def cohomology_report(c: Configuration) -> dict:
     """Ring, Chern and localization summary in the report JSON shape."""
     ws = derive_weight_system(c)
-    rp = ring_presentation(c)
-    chern = total_chern(c)
+    rp = _ring_presentation(c, ws)
+    chern = _total_chern(ws, _equivariant_basis(c, ws, rp))
     omega5 = localize_integral(u_tilde(c) ** DIM, ws)
     euler = localize_integral(chern_restrictions(ws, DIM), ws)
     return {

@@ -11,9 +11,9 @@ index/Betti regularity) are applied to subgraph components of edges with
 ``k | w``; balance and regularity beyond dimension-constancy are restricted
 to *saturated* components, the ones that model a full isotropy submanifold.
 
-The ``check_*`` functions collect every violation of one rule;
-:func:`check_all` aggregates them all into a report, and :func:`is_valid`
-decides the same predicate with early exit for the enumeration hot path.
+One ordered walk over the rules yields the violations:
+:func:`check_all` collects all of them into a report, and :func:`is_valid`
+stops at the first one for the enumeration hot path.
 """
 
 from __future__ import annotations
@@ -32,19 +32,6 @@ from .model import (
     isotropy_components,
     isotropy_orders,
     structure_problems,
-)
-
-RULES = (
-    "Divisibility",
-    "ModK",
-    "SmallestWeightBalance",
-    "ComponentRegularity",
-    "IndexBound",
-    "ExtremalEdge",
-    "C1Consistency",
-    "GammaRelation",
-    "Effectiveness",
-    "Structure",
 )
 
 C1_MIN = 1
@@ -316,50 +303,43 @@ def _iter_effectiveness(c: Configuration):
 
 
 # ---------------------------------------------------------------------------
-# public checkers (spec surface)
+# the rule walk behind check_all and is_valid
 
 
-def check_divisibility(c: Configuration) -> list[Violation]:
-    """Every edge weight divides its moment gap; every signed weight divides
-    some moment gap on its own side (redundant second form)."""
-    return list(_iter_divisibility(c, derive_weight_system(c)))
+def _walk(c: Configuration, effective: bool | None):
+    """Yield every violation of ``c``, cheap and lethal rules first.
 
-
-def check_mod(c: Configuration) -> list[Violation]:
-    """Weight multisets agree mod k across each k-divisible subgraph component."""
+    The order is structure, extremal edges, c1, divisibility, global
+    balance, then per isotropy component regularity, balance and mod-k,
+    then the gamma relation and effectiveness.  The weight system is
+    derived once, and only after structure and the extremal edges are
+    walked.  Returns the first-Chern multiple, or ``None`` when undefined.
+    """
+    problems = structure_problems(c)
+    if problems:
+        for p in problems:
+            yield Violation("Structure", vertices=tuple(range(N_POINTS)), detail=p)
+        return None
+    yield from _iter_extremal(c)
     ws = derive_weight_system(c)
-    out: list[Violation] = []
+    c1 = _c1_of(c, ws)
+    if isinstance(c1, Violation):
+        yield c1
+        c1 = None
+    yield from _iter_divisibility(c, ws)
+    yield from _iter_balance(c.edges, lambda v: v, DIM, None, tuple(range(N_POINTS)))
     for k in isotropy_orders(c):
         for comp in isotropy_components(c, k, ws=ws):
-            out.extend(_iter_mod(ws, comp))
-    return out
-
-
-def check_smallest_weight_balance(c: Configuration) -> list[Violation]:
-    """Balance of the smallest weight, globally and per saturated component."""
-    ws = derive_weight_system(c)
-    out = list(_iter_balance(c.edges, lambda v: v, DIM, None, tuple(range(N_POINTS))))
-    for k in isotropy_orders(c):
-        for comp in isotropy_components(c, k, ws=ws):
+            yield from _iter_regularity(comp)
             args = _comp_balance_args(comp)
             if args is not None:
-                out.extend(_iter_balance(*args))
-    return out
-
-
-def check_component_regularity(c: Configuration) -> list[Violation]:
-    """Constant dimension per component; Morse/duality shape when saturated."""
-    ws = derive_weight_system(c)
-    out: list[Violation] = []
-    for k in isotropy_orders(c):
-        for comp in isotropy_components(c, k, ws=ws):
-            out.extend(_iter_regularity(comp))
-    return out
-
-
-def check_extremal_edges(c: Configuration) -> list[Violation]:
-    """The two extremal gaps are realized by edges of exactly that weight."""
-    return list(_iter_extremal(c))
+                yield from _iter_balance(*args)
+            yield from _iter_mod(ws, comp)
+    if c1 is not None:
+        yield from _iter_gamma_relation(c, ws, c1)
+    if c.effective if effective is None else effective:
+        yield from _iter_effectiveness(c)
+    return c1
 
 
 def compute_c1(c: Configuration) -> int | Violation:
@@ -372,95 +352,25 @@ def compute_c1(c: Configuration) -> int | Violation:
     return _c1_of(c, derive_weight_system(c))
 
 
-def check_gamma_relation(c: Configuration, k: int) -> list[Violation]:
-    """Index/multiplicity relation for dominating edges.
-
-    For an edge (i, j, w) whose weight is largest in absolute value among
-    all weights at both endpoints, with no ``-w`` slot at i and ``s``
-    negative slots of weight w at j:  j - i + s = k (phi_j - phi_i) / w.
-    """
-    return list(_iter_gamma_relation(c, derive_weight_system(c), k))
-
-
-def check_effectiveness(c: Configuration) -> list[Violation]:
-    return list(_iter_effectiveness(c))
-
-
 def check_all(c: Configuration, effective: bool | None = None) -> CheckReport:
-    """Run every checker; aggregate violations into a PASS/FAIL report.
+    """Collect every violation into a PASS/FAIL report.
 
     ``effective`` overrides the configuration's own effectiveness flag;
     when the flag is set the gcd-of-weights check is included.
     """
-    problems = structure_problems(c)
-    if problems:
-        violations = tuple(
-            Violation("Structure", vertices=tuple(range(N_POINTS)), detail=p)
-            for p in problems
-        )
-        return CheckReport(passed=False, c1=None, violations=violations)
-
-    ws = derive_weight_system(c)
+    walk = _walk(c, effective)
     violations: list[Violation] = []
-    violations.extend(_iter_divisibility(c, ws))
-    comps_by_k = [
-        comp for k in isotropy_orders(c) for comp in isotropy_components(c, k, ws=ws)
-    ]
-    for comp in comps_by_k:
-        violations.extend(_iter_mod(ws, comp))
-    violations.extend(_iter_balance(c.edges, lambda v: v, DIM, None, tuple(range(N_POINTS))))
-    for comp in comps_by_k:
-        args = _comp_balance_args(comp)
-        if args is not None:
-            violations.extend(_iter_balance(*args))
-    for comp in comps_by_k:
-        violations.extend(_iter_regularity(comp))
-    violations.extend(_iter_extremal(c))
-    c1 = _c1_of(c, ws)
-    c1_value: int | None
-    if isinstance(c1, Violation):
-        violations.append(c1)
-        c1_value = None
-    else:
-        c1_value = c1
-        violations.extend(_iter_gamma_relation(c, ws, c1_value))
-    flag = c.effective if effective is None else effective
-    if flag:
-        violations.extend(_iter_effectiveness(c))
+    while True:
+        try:
+            violations.append(next(walk))
+        except StopIteration as done:
+            c1 = done.value
+            break
     ordered = tuple(sorted(violations))
-    return CheckReport(passed=not ordered, c1=c1_value, violations=ordered)
+    return CheckReport(passed=not ordered, c1=c1, violations=ordered)
 
 
 def is_valid(c: Configuration, effective: bool | None = None) -> bool:
-    """Exactly ``check_all(c, effective).passed``, with early exit.
-
-    Cheap and lethal rules run first; used as the enumeration's final gate.
-    """
-    if structure_problems(c):
-        return False
-    if any(True for _ in _iter_extremal(c)):
-        return False
-    ws = derive_weight_system(c)
-    c1 = _c1_of(c, ws)
-    if isinstance(c1, Violation):
-        return False
-    for _ in _iter_divisibility(c, ws):
-        return False
-    for _ in _iter_balance(c.edges, lambda v: v, DIM, None, range(N_POINTS)):
-        return False
-    for k in isotropy_orders(c):
-        for comp in isotropy_components(c, k, ws=ws):
-            for _ in _iter_regularity(comp):
-                return False
-            args = _comp_balance_args(comp)
-            if args is not None:
-                for _ in _iter_balance(*args):
-                    return False
-            for _ in _iter_mod(ws, comp):
-                return False
-    for _ in _iter_gamma_relation(c, ws, c1):
-        return False
-    flag = c.effective if effective is None else effective
-    if flag and c.weight_gcd() != 1:
-        return False
-    return True
+    """Exactly ``check_all(c, effective).passed``, stopping at the first
+    violation; used as the enumeration's final gate."""
+    return next(_walk(c, effective), None) is None

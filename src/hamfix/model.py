@@ -342,6 +342,11 @@ def config_to_dict(c: Configuration) -> dict:
     }
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` subclass but not one."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def config_from_dict(d) -> Configuration:
     if not isinstance(d, dict):
         raise SchemaError("configuration document must be a JSON object")
@@ -349,7 +354,7 @@ def config_from_dict(d) -> Configuration:
         if key not in d:
             raise SchemaError(f"missing required key {key!r}")
     moment = d["moment"]
-    if not isinstance(moment, list) or not all(isinstance(v, int) for v in moment):
+    if not isinstance(moment, list) or not all(_is_int(v) for v in moment):
         raise SchemaError("'moment' must be a list of integers")
     raw_edges = d["edges"]
     if not isinstance(raw_edges, list):
@@ -358,21 +363,19 @@ def config_from_dict(d) -> Configuration:
     for item in raw_edges:
         if not isinstance(item, dict):
             raise SchemaError("each edge must be an object")
+        fields = [item.get(key) for key in ("lo", "hi", "w")] + [item.get("mult", 1)]
+        if not all(_is_int(v) for v in fields):
+            raise SchemaError(f"bad edge entry {item!r}: lo, hi, w, mult must be integers")
         try:
-            edges.append(
-                WeightEdge(
-                    int(item["lo"]),
-                    int(item["hi"]),
-                    int(item["w"]),
-                    int(item.get("mult", 1)),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            edges.append(WeightEdge(*fields))
+        except ValueError as exc:
             raise SchemaError(f"bad edge entry {item!r}: {exc}") from exc
     label = d.get("label", "")
-    effective = bool(d.get("effective", False))
+    effective = d.get("effective", False)
     if not isinstance(label, str):
         raise SchemaError("'label' must be a string")
+    if not isinstance(effective, bool):
+        raise SchemaError("'effective' must be true or false")
     try:
         profile = MomentProfile(tuple(moment))
     except ValueError as exc:

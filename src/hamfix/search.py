@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 from . import cohomology
-from .constraints import check_all, compute_c1, is_valid
+from .constraints import C1_MAX, C1_MIN, check_all, compute_c1, is_valid
 from .model import (
     DIM,
     N_POINTS,
@@ -49,11 +49,15 @@ from .model import (
 
 _CELLS = tuple((i, j) for i in range(DIM) for j in range(i + 1, N_POINTS))
 
-PRUNE_RULES = ("divisibility", "extremal", "gamma", "slot", "final")
+PRUNE_RULES = ("extremal", "gamma", "slot", "final")
 
 
 class BudgetExceeded(RuntimeError):
-    """The configured node limit was hit before the search finished."""
+    """The search explored more nodes than the configured node limit."""
+
+
+class SpecError(ValueError):
+    """Search bounds, filters or the worker count are out of range."""
 
 
 @dataclass(frozen=True)
@@ -73,14 +77,18 @@ class SearchSpec:
 
     def __post_init__(self) -> None:
         if self.max_weight < 1:
-            raise ValueError("max_weight must be at least 1")
+            raise SpecError("max_weight must be at least 1")
         if self.max_width < DIM:
-            raise ValueError(f"max_width must be at least {DIM}")
-        object.__setattr__(
-            self,
-            "largest_from",
-            tuple(tuple(sorted((int(i), int(j)))) for i, j in self.largest_from),
-        )
+            raise SpecError(f"max_width must be at least {DIM}")
+        if self.c1 is not None and not C1_MIN <= self.c1 <= C1_MAX:
+            raise SpecError(f"c1 must be in [{C1_MIN}, {C1_MAX}], got {self.c1}")
+        pairs = tuple(tuple(sorted((int(i), int(j)))) for i, j in self.largest_from)
+        for i, j in pairs:
+            if not 0 <= i < j < N_POINTS:
+                raise SpecError(
+                    f"largest_from pair ({i},{j}) must join two distinct vertices 0..{N_POINTS - 1}"
+                )
+        object.__setattr__(self, "largest_from", pairs)
 
     def to_dict(self) -> dict:
         return {
@@ -185,8 +193,6 @@ def _gamma_targets(spec: SearchSpec, phi: tuple[int, ...]) -> list[tuple[int, tu
     out = []
     g1, g5 = phi[1] - phi[0], phi[5] - phi[4]
     for k in ks:
-        if k is None or not 1 <= k <= N_POINTS:
-            continue
         if (k * sum_phi) % N_POINTS != 0:
             continue
         gamma0 = k * sum_phi // N_POINTS
@@ -384,9 +390,6 @@ class _GapSearch:
         gamma = self.targets is not None
         down_tail = sum(down[j2] for j2 in range(j + 1, N_POINTS)) if not last_up else 0
         for m in m_choices:
-            if m > 0 and not allowed:
-                self.stats.pruned["divisibility"] += 1
-                continue
             if not last_up and up[i] - m > down_tail:
                 self.stats.pruned["slot"] += 1
                 continue
@@ -459,7 +462,6 @@ class _GapSearch:
                     self.stats.pruned["final"] += 1
                     return
         try:
-            cohomology.ring_presentation(config)
             cohomology.total_chern(config)
         except cohomology.CohomologyError:
             self.stats.pruned["final"] += 1
@@ -481,13 +483,17 @@ def enumerate_configurations(spec: SearchSpec, workers: int | None = None) -> Se
     """All canonical configurations within the given bounds passing every check.
 
     Deterministic: the result (including statistics other than wall time) is
-    byte-identical across worker counts.
+    byte-identical across worker counts, and ``BudgetExceeded`` is raised
+    exactly when the total node count exceeds ``spec.node_limit``.
     """
     start = time.monotonic()
     gaps = _gap_vectors(spec)
     if workers is None:
         env = os.environ.get("HAMFIX_THREADS")
-        workers = int(env) if env else (os.cpu_count() or 1)
+        try:
+            workers = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise SpecError(f"HAMFIX_THREADS must be an integer, got {env!r}") from None
     workers = max(1, min(workers, len(gaps) or 1))
     stats = SearchStats()
     configs: list[Configuration] = []
@@ -502,6 +508,9 @@ def enumerate_configurations(spec: SearchSpec, workers: int | None = None) -> Se
             for sink, st in pool.map(_search_chunk, [spec] * len(chunks), chunks):
                 configs.extend(sink)
                 stats.merge(st)
+    # a chunk raises only when it alone exceeds the limit; together they still can
+    if spec.node_limit is not None and stats.nodes > spec.node_limit:
+        raise BudgetExceeded(f"node limit {spec.node_limit} exceeded")
     configs = sorted(set(configs), key=sort_key)
     stats.wall_ms = (time.monotonic() - start) * 1000.0
     return SearchResult(spec, tuple(configs), stats)
@@ -600,10 +609,10 @@ def verify_theorem2(max_width: int = 40, workers: int | None = None) -> TheoremR
     res = enumerate_configurations(SearchSpec(5, max_width), workers=workers)
     pool = [c for c in res.configurations if c.max_weight() == 5]
     set1, set2, set3 = [], [], []
+    pool_c1 = [check_all(c).c1 for c in pool]
     for idx, c in enumerate(pool):
         phi = c.profile.values
-        report = check_all(c)
-        if report.c1 == 3:
+        if pool_c1[idx] == 3:
             set1.append(idx)
         if _has_edge(c, 0, 5, 5) and phi[5] - phi[0] == 10:
             set2.append(idx)
@@ -642,7 +651,7 @@ def verify_theorem2(max_width: int = 40, workers: int | None = None) -> TheoremR
             "c1_3": set1,
             "edge_05_half_width": set2,
             "edges_13_24": set3,
-            "pool_c1": [check_all(c).c1 for c in pool],
+            "pool_c1": pool_c1,
         },
         res.stats,
     )

@@ -153,3 +153,42 @@ def test_console_script_entry_point(o_file):
     )
     assert proc.returncode == 0
     assert "pass: True" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--max-weight", "2", "--max-width", "5", "--largest-from", "x,1"],
+        ["enumerate", "--max-weight", "2", "--max-width", "5", "--largest-from", "0,1,2"],
+        ["enumerate", "--max-weight", "0", "--max-width", "5"],
+        ["enumerate", "--max-weight", "5", "--max-width", "10", "--c1", "9"],
+        ["enumerate", "--max-weight", "5", "--max-width", "10", "--largest-from", "0,9"],
+        ["enumerate", "--max-weight", "5", "--max-width", "10", "--largest-from", "2,2"],
+        ["verify", "thm1", "--max-weight", "0"],
+        ["verify", "thm1", "--max-width", "0"],
+        ["verify", "thm2", "--max-width", "0"],
+    ],
+)
+def test_argument_errors_exit_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_bad_thread_count_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("HAMFIX_THREADS", "abc")
+    assert main(["enumerate", "--max-weight", "2", "--max-width", "5"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: HAMFIX_THREADS must be an integer, got 'abc'"]
+
+
+def test_check_rejects_coerced_json(tmp_path, capsys):
+    for change in ({"effective": "false"}, {"moment": [0, 1, 4, 6, 9, True]}):
+        doc = {**config_to_dict(builtin("o")), **change}
+        path = tmp_path / "coerced.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

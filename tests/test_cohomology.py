@@ -20,7 +20,6 @@ from hamfix import (
     derive_weight_system,
     equivariant_basis,
     expand_in_basis,
-    lambda_products,
     localize_integral,
     ring_presentation,
     total_chern,
@@ -47,13 +46,13 @@ def test_elementary_symmetric():
 
 def test_lambda_products(o):
     ws = derive_weight_system(o)
-    lam_minus, lam = lambda_products(ws)
+    lam_minus, lam = ws.lam_minus, ws.lam
     assert lam_minus == (1, -1, 4, -10, 60, -120)
     assert lam == (120, -60, 40, -40, 60, -120)
     assert lam_minus[0] == 1  # no negative weights at the minimum
 
     w7 = derive_weight_system(builtin("remark_w7"))
-    lm7, _ = lambda_products(w7)
+    lm7 = w7.lam_minus
     assert lm7[3] == -28
     assert lm7[4] == 42
 
@@ -119,7 +118,7 @@ def test_equivariant_basis(o):
 def test_basis_vanishing_pattern_all_fixtures(paper_fixtures):
     for c in paper_fixtures + [builtin("remark_w7")]:
         basis = equivariant_basis(c)
-        lam_minus, _ = lambda_products(derive_weight_system(c))
+        lam_minus = derive_weight_system(c).lam_minus
         for i, cls in enumerate(basis.classes):
             assert all(cls.coeffs[p] == 0 for p in range(i))
             assert cls.coeffs[i] == lam_minus[i]
@@ -132,8 +131,7 @@ def test_chern_restrictions(o):
     c2 = chern_restrictions(ws, 2)
     assert c2.coeffs[0] == 85
     c5 = chern_restrictions(ws, 5)
-    _, lam = lambda_products(ws)
-    assert all(c5.coeffs[i] / lam[i] == 1 for i in range(6))
+    assert all(c5.coeffs[i] / ws.lam[i] == 1 for i in range(6))
     with pytest.raises(ValueError):
         chern_restrictions(ws, 6)
 

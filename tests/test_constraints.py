@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from itertools import product
+
 import pytest
 
 from hamfix import (
@@ -13,17 +16,10 @@ from hamfix import (
     canonicalize,
     check_all,
     compute_c1,
+    derive_weight_system,
     flip,
 )
-from hamfix.constraints import (
-    check_component_regularity,
-    check_divisibility,
-    check_extremal_edges,
-    check_gamma_relation,
-    check_mod,
-    check_smallest_weight_balance,
-    is_valid,
-)
+from hamfix.constraints import _iter_gamma_relation, is_valid
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +41,11 @@ def mutate_edge(c, lo, hi, w_old, w_new):
     return Configuration(c.profile, tuple(edges), label=c.label)
 
 
+def violations(c, *rules):
+    """The violations of the given rules in ``check_all(c)``."""
+    return [v for v in check_all(c).violations if v.rule in rules]
+
+
 def test_violation_requires_location():
     with pytest.raises(ValueError):
         Violation("ModK")
@@ -54,13 +55,13 @@ def test_violation_requires_location():
 
 
 def test_divisibility_clean(o):
-    assert check_divisibility(o) == []
-    assert check_divisibility(builtin("cp5", 1, 1, 1, 1, 1)) == []
+    assert violations(o, "Divisibility") == []
+    assert violations(builtin("cp5", 1, 1, 1, 1, 1), "Divisibility") == []
 
 
 def test_divisibility_violation(o):
     bad = mutate_edge(o, 0, 2, 4, 3)  # gap 4, weight 3
-    vs = check_divisibility(bad)
+    vs = violations(bad, "Divisibility")
     assert any(v.rule == "Divisibility" and (0, 2, 3) in v.edges for v in vs)
 
 
@@ -68,8 +69,8 @@ def test_divisibility_violation(o):
 
 
 def test_mod_clean_fixtures(o):
-    assert check_mod(o) == []
-    assert check_mod(builtin("remark_w7")) == []
+    assert violations(o, "ModK") == []
+    assert violations(builtin("remark_w7"), "ModK") == []
 
 
 def test_mod_violation_between_extremes():
@@ -94,7 +95,7 @@ def test_mod_violation_between_extremes():
         WeightEdge(4, 5, 1),
     )
     c = Configuration(prof, edges)
-    vs = check_mod(c)
+    vs = violations(c, "ModK")
     assert any(v.rule == "ModK" for v in vs)
 
 
@@ -102,13 +103,13 @@ def test_mod_violation_between_extremes():
 
 
 def test_balance_clean(o):
-    assert check_smallest_weight_balance(o) == []
+    assert violations(o, "SmallestWeightBalance") == []
 
 
 def test_balance_double_one_at_bottom(o):
     # two +1 slots at the minimum but only one index-2 point to receive -1
     bad = mutate_edge(o, 0, 3, 2, 1)
-    vs = check_smallest_weight_balance(bad)
+    vs = violations(bad, "SmallestWeightBalance")
     assert any(v.rule == "SmallestWeightBalance" for v in vs)
 
 
@@ -139,7 +140,7 @@ def test_balance_component_with_index_jump():
     c = _double_extremal_component()
     comp_violations = [
         v
-        for v in check_smallest_weight_balance(c)
+        for v in violations(c, "SmallestWeightBalance")
         if v.vertices == (0, 5) and "k=3" in v.detail
     ]
     assert comp_violations
@@ -149,12 +150,16 @@ def test_balance_component_with_index_jump():
 
 
 def test_regularity_clean(o):
-    assert check_component_regularity(o) == []
+    assert violations(o, "ComponentRegularity", "IndexBound") == []
 
 
 def test_regularity_level_gap():
     c = _double_extremal_component()
-    vs = [v for v in check_component_regularity(c) if "k=3" in v.detail]
+    vs = [
+        v
+        for v in violations(c, "ComponentRegularity", "IndexBound")
+        if "k=3" in v.detail
+    ]
     assert any(v.rule == "ComponentRegularity" for v in vs)
 
 
@@ -162,7 +167,7 @@ def test_regularity_dimension_mismatch(o):
     # a 6-divisible weight at the bottom makes the k=3 component of vertex 0
     # meet vertices carrying only one 3-divisible weight
     bad = mutate_edge(o, 0, 3, 2, 6)
-    vs = check_component_regularity(bad)
+    vs = violations(bad, "ComponentRegularity", "IndexBound")
     assert any(
         v.rule == "ComponentRegularity" and "not constant" in v.detail for v in vs
     )
@@ -172,13 +177,13 @@ def test_regularity_dimension_mismatch(o):
 
 
 def test_extremal_clean(o):
-    assert check_extremal_edges(o) == []
-    assert check_extremal_edges(builtin("grass", 1, 1, 2)) == []
+    assert violations(o, "ExtremalEdge") == []
+    assert violations(builtin("grass", 1, 1, 2), "ExtremalEdge") == []
 
 
 def test_extremal_missing(o):
     bad = mutate_edge(o, 0, 1, 1, 2)
-    vs = check_extremal_edges(bad)
+    vs = violations(bad, "ExtremalEdge")
     assert any(v.rule == "ExtremalEdge" and v.vertices == (0, 1) for v in vs)
 
 
@@ -209,15 +214,18 @@ def test_c1_disagreement(o):
 
 
 def test_gamma_relation_clean(o):
-    assert check_gamma_relation(o, 3) == []
-    assert check_gamma_relation(builtin("remark_w7"), 3) == []
+    for c in (o, builtin("remark_w7")):
+        report = check_all(c)
+        assert report.c1 == 3  # so check_all walked the relation with k = 3
+        assert [v for v in report.violations if v.rule == "GammaRelation"] == []
 
 
 def test_gamma_relation_violation(o):
     # force a second -5 slot at the top: the (0,5) edge then has s = 2,
-    # giving 5 - 0 + 2 = 7 against 3 * 10 / 5 = 6
+    # giving 5 - 0 + 2 = 7 against 3 * 10 / 5 = 6; the mutant's c1 is
+    # inconsistent, so check_all never walks this rule and the core is called
     mutated = mutate_edge(o, 1, 5, 3, 5)
-    vs = check_gamma_relation(mutated, 3)
+    vs = list(_iter_gamma_relation(mutated, derive_weight_system(mutated), 3))
     assert any(v.rule == "GammaRelation" and (0, 5, 5) in v.edges for v in vs)
 
 
@@ -301,3 +309,31 @@ def test_mutation_sensitivity_all_fixtures():
                     continue
                 report = check_all(mutate_edge(c, e.lo, e.hi, e.w, w_new))
                 assert (not report.passed) or report.c1 != baseline
+
+
+def test_is_valid_matches_check_all_random_mutants():
+    # the early-exit walk of is_valid against the full report, on the
+    # builtins and seeded single-edge weight mutants, for every flag value
+    base = [builtin("o"), builtin("remark_w7")]
+    base += [builtin("cp5", *g) for g in product(range(1, 4), repeat=5)]
+    base += [
+        builtin("grass", a, b, c)
+        for a in range(1, 4)
+        for b in range(1, 4)
+        for c in (2, 4, 6)
+    ]
+    rng = random.Random(20240301)
+    mutants = []
+    while len(mutants) < 300:
+        c = rng.choice(base)
+        e = rng.choice(c.edges)
+        w_new = rng.randint(1, 8)
+        if w_new != e.w:
+            mutants.append(mutate_edge(c, e.lo, e.hi, e.w, w_new))
+    outcomes = set()
+    for c in base + mutants:
+        for eff in (None, True, False):
+            passed = check_all(c, eff).passed
+            assert is_valid(c, eff) == passed, (c.label, eff)
+            outcomes.add(passed)
+    assert outcomes == {True, False}

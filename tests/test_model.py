@@ -193,6 +193,35 @@ def test_json_schema_errors():
         config_loads("not json")
 
 
+def _o_doc(**changes):
+    doc = config_to_dict(builtin("o"))
+    doc.update(changes)
+    return doc
+
+
+def test_json_effective_must_be_boolean():
+    assert config_from_dict(_o_doc(effective=False)).effective is False
+    with pytest.raises(SchemaError):
+        config_from_dict(_o_doc(effective="false"))
+
+
+def test_json_float_weight_rejected():
+    doc = _o_doc()
+    doc["edges"][0]["w"] = 1.9
+    with pytest.raises(SchemaError):
+        config_from_dict(doc)
+
+
+def test_json_boolean_integers_rejected():
+    with pytest.raises(SchemaError):
+        config_from_dict(_o_doc(moment=[False, True, 4, 6, 9, 10]))
+    for key in ("lo", "hi", "w", "mult"):
+        doc = _o_doc()
+        doc["edges"][0][key] = True
+        with pytest.raises(SchemaError):
+            config_from_dict(doc)
+
+
 def test_mult_defaults_to_one():
     doc = {
         "moment": [0, 1, 2, 3, 4, 5],

@@ -38,6 +38,15 @@ def test_spec_validation():
         SearchSpec(5, 4)
     spec = SearchSpec(5, 10, largest_from=((5, 0),))
     assert spec.largest_from == ((0, 5),)
+    for bad in (
+        dict(c1=0),
+        dict(c1=9),
+        dict(largest_from=((0, 9),)),
+        dict(largest_from=((-1, 2),)),
+        dict(largest_from=((3, 3),)),
+    ):
+        with pytest.raises(ValueError):
+            SearchSpec(5, 10, **bad)
 
 
 def test_spec_json_round_trip():
@@ -118,6 +127,17 @@ def test_determinism_across_workers():
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         enumerate_configurations(SearchSpec(4, 12, node_limit=50), workers=1)
+
+
+def test_node_limit_counts_merged_total_for_any_worker_count():
+    full = enumerate_configurations(SearchSpec(4, 8), workers=1)
+    total = full.stats.nodes
+    for workers in (1, 2):
+        with pytest.raises(BudgetExceeded):
+            enumerate_configurations(SearchSpec(4, 8, node_limit=total - 1), workers=workers)
+        res = enumerate_configurations(SearchSpec(4, 8, node_limit=total), workers=workers)
+        assert res.stats.nodes == total
+        assert res.configurations == full.configurations
 
 
 def test_emitted_configurations_are_canonical_and_valid():
