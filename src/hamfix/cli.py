@@ -127,15 +127,15 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _parse_pairs(values) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    for text in values or ():
-        try:
-            i, j = (int(part) for part in text.split(","))
-        except ValueError:
-            raise ParamError(f"expected a vertex pair like 0,5 -- got {text!r}") from None
-        pairs.append((i, j))
-    return tuple(pairs)
+def _parse_ints(text: str, n: int, flag: str) -> tuple[int, ...]:
+    """Exactly ``n`` comma-separated integers, or a ParamError naming ``flag``."""
+    try:
+        values = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != n:
+        raise ParamError(f"{flag} expects {n} comma-separated integers -- got {text!r}")
+    return values
 
 
 def _spec_from_args(args) -> SearchSpec:
@@ -147,9 +147,9 @@ def _spec_from_args(args) -> SearchSpec:
         max_weight=args.max_weight,
         max_width=args.max_width,
         c1=args.c1,
-        largest_from=_parse_pairs(args.largest_from),
+        largest_from=tuple(_parse_ints(t, 2, "--largest-from") for t in args.largest_from or ()),
         require_effective=args.effective,
-        symmetry_gaps=args.symmetry_gaps,
+        gaps=_parse_ints(args.gaps, 5, "--gaps") if args.gaps else None,
         prune_divisibility="divisibility" not in disabled,
         prune_extremal="extremal" not in disabled,
         prune_gamma="gamma" not in disabled,
@@ -207,16 +207,12 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _builtin_from_args(args):
-    return builtin(args.name, *(args.params or ()))
-
-
 def _cmd_examples(args) -> int:
     if args.action == "list":
         for name in BUILTIN_NAMES:
             print(name)
         return 0
-    config = _builtin_from_args(args)
+    config = builtin(args.name, *(args.params or ()))
     if args.action == "export":
         print(json.dumps(config_to_dict(config), indent=2))
         return 0
@@ -233,11 +229,7 @@ def _cmd_examples(args) -> int:
 
 
 def _cmd_project_gkm(args) -> int:
-    parts = args.xi.split(",")
-    if len(parts) != 2:
-        raise ParamError(f"--xi expects two integers like 1,2 -- got {args.xi!r}")
-    xi = (int(parts[0]), int(parts[1]))
-    config = canonicalize(project_gkm(o_gkm_graph(), xi))
+    config = canonicalize(project_gkm(o_gkm_graph(), _parse_ints(args.xi, 2, "--xi")))
     print(json.dumps(config_to_dict(config), indent=2))
     return 0
 
@@ -276,7 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="require the largest weight on this vertex pair (repeatable)",
     )
     p_enum.add_argument("--effective", action="store_true")
-    p_enum.add_argument("--symmetry-gaps", action="store_true")
+    p_enum.add_argument(
+        "--gaps", metavar="G1,G2,G3,G4,G5", help="search only this mirror-canonical gap vector"
+    )
     p_enum.add_argument(
         "--no-prune",
         action="append",

@@ -41,6 +41,7 @@ from .model import (
     Configuration,
     MomentProfile,
     WeightEdge,
+    _is_int,
     config_to_dict,
     derive_weight_system,
     flip,
@@ -69,26 +70,44 @@ class SearchSpec:
     c1: int | None = None
     largest_from: tuple[tuple[int, int], ...] = ()
     require_effective: bool = False
-    symmetry_gaps: bool = False
+    gaps: tuple[int, ...] | None = None  # the one gap vector to search, if pinned
     prune_divisibility: bool = True
     prune_extremal: bool = True
     prune_gamma: bool = True
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("max_weight", "max_width", "c1", "node_limit"):
+            v = getattr(self, name)
+            if not _is_int(v) and not (v is None and name in ("c1", "node_limit")):
+                raise SpecError(f"{name} must be an integer, got {v!r}")
+        for name in ("require_effective", "prune_divisibility", "prune_extremal", "prune_gamma"):
+            if not isinstance(getattr(self, name), bool):
+                raise SpecError(f"{name} must be a boolean, got {getattr(self, name)!r}")
         if self.max_weight < 1:
             raise SpecError("max_weight must be at least 1")
         if self.max_width < DIM:
             raise SpecError(f"max_width must be at least {DIM}")
         if self.c1 is not None and not C1_MIN <= self.c1 <= C1_MAX:
             raise SpecError(f"c1 must be in [{C1_MIN}, {C1_MAX}], got {self.c1}")
-        pairs = tuple(tuple(sorted((int(i), int(j)))) for i, j in self.largest_from)
-        for i, j in pairs:
-            if not 0 <= i < j < N_POINTS:
+        if self.node_limit is not None and self.node_limit < 0:
+            raise SpecError(f"node_limit must be at least 0, got {self.node_limit}")
+        for p in self.largest_from:
+            ok = isinstance(p, (tuple, list)) and len(p) == 2 and all(_is_int(v) for v in p)
+            if not (ok and 0 <= min(p) < max(p) < N_POINTS):
                 raise SpecError(
-                    f"largest_from pair ({i},{j}) must join two distinct vertices 0..{N_POINTS - 1}"
+                    f"largest_from pair {p!r} must join two distinct vertices 0..{N_POINTS - 1}"
                 )
-        object.__setattr__(self, "largest_from", pairs)
+        object.__setattr__(self, "largest_from", tuple(tuple(sorted(p)) for p in self.largest_from))
+        if self.gaps is not None:
+            g = tuple(self.gaps) if isinstance(self.gaps, (tuple, list)) else ()
+            if len(g) != DIM or not all(_is_int(x) and x >= 1 for x in g):
+                raise SpecError(f"gaps must be {DIM} positive integers, got {self.gaps!r}")
+            if sum(g) > self.max_width:
+                raise SpecError(f"gaps {g} are wider than max_width {self.max_width}")
+            if g > g[::-1]:
+                raise SpecError(f"gaps {g} are not mirror-canonical; pin {g[::-1]} instead")
+            object.__setattr__(self, "gaps", g)
 
     def to_dict(self) -> dict:
         return {
@@ -97,7 +116,7 @@ class SearchSpec:
             "c1": self.c1,
             "largestFrom": [list(p) for p in self.largest_from],
             "requireEffective": self.require_effective,
-            "symmetryGaps": self.symmetry_gaps,
+            "gaps": None if self.gaps is None else list(self.gaps),
             "pruningToggles": {
                 "divisibility": self.prune_divisibility,
                 "extremal": self.prune_extremal,
@@ -110,15 +129,15 @@ class SearchSpec:
     def from_dict(cls, d: dict) -> "SearchSpec":
         toggles = d.get("pruningToggles", {})
         return cls(
-            max_weight=int(d["maxWeight"]),
-            max_width=int(d["maxWidth"]),
+            max_weight=d["maxWeight"],
+            max_width=d["maxWidth"],
             c1=d.get("c1"),
-            largest_from=tuple(tuple(p) for p in d.get("largestFrom", ())),
-            require_effective=bool(d.get("requireEffective", False)),
-            symmetry_gaps=bool(d.get("symmetryGaps", False)),
-            prune_divisibility=bool(toggles.get("divisibility", True)),
-            prune_extremal=bool(toggles.get("extremal", True)),
-            prune_gamma=bool(toggles.get("gamma", True)),
+            largest_from=tuple(d.get("largestFrom", ())),
+            require_effective=d.get("requireEffective", False),
+            gaps=d.get("gaps"),
+            prune_divisibility=toggles.get("divisibility", True),
+            prune_extremal=toggles.get("extremal", True),
+            prune_gamma=toggles.get("gamma", True),
             node_limit=d.get("nodeLimit"),
         )
 
@@ -134,6 +153,9 @@ class SearchStats:
         for rule, n in other.pruned.items():
             self.pruned[rule] = self.pruned.get(rule, 0) + n
 
+    def to_dict(self) -> dict:
+        return {"nodes": self.nodes, "pruned": dict(self.pruned)}
+
 
 @dataclass
 class SearchResult:
@@ -142,15 +164,13 @@ class SearchResult:
     stats: SearchStats
 
     def weight_systems(self) -> list[tuple[tuple[int, ...], ...]]:
-        """Distinct per-vertex weight multisets realized, sorted."""
-        seen = sorted({derive_weight_system(c).weights for c in self.configurations})
-        return seen
+        return _weight_systems(self.configurations)
 
     def to_dict(self) -> dict:
         return {
             "spec": self.spec.to_dict(),
             "configurations": [config_to_dict(c) for c in self.configurations],
-            "statistics": {"nodes": self.stats.nodes, "pruned": dict(self.stats.pruned)},
+            "statistics": self.stats.to_dict(),
         }
 
 
@@ -159,7 +179,9 @@ class SearchResult:
 
 
 def _gap_vectors(spec: SearchSpec) -> list[tuple[int, ...]]:
-    """Mirror-canonical gap vectors within the width bound, filters applied."""
+    """The pinned gap vector, or every mirror-canonical one within the width bound."""
+    if spec.gaps is not None:
+        return [spec.gaps]
     out = []
     maxw = spec.max_width
     for g1 in range(1, maxw - 3):
@@ -168,11 +190,8 @@ def _gap_vectors(spec: SearchSpec) -> list[tuple[int, ...]]:
                 for g4 in range(1, maxw - g1 - g2 - g3):
                     for g5 in range(1, maxw - g1 - g2 - g3 - g4 + 1):
                         g = (g1, g2, g3, g4, g5)
-                        if g > g[::-1]:
-                            continue
-                        if spec.symmetry_gaps and not (g1 == g5 and g1 + g2 == g4 + g5):
-                            continue
-                        out.append(g)
+                        if g <= g[::-1]:
+                            out.append(g)
     return out
 
 
@@ -180,8 +199,8 @@ def _divisors_leq(n: int, bound: int) -> tuple[int, ...]:
     return tuple(w for w in range(1, min(n, bound) + 1) if n % w == 0)
 
 
-def _gamma_targets(spec: SearchSpec, phi: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-    """Feasible first-Chern multiples with their per-vertex weight-sum targets.
+def _gamma_targets(spec: SearchSpec, phi: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Per-vertex weight-sum targets, one vector per feasible first-Chern multiple.
 
     A valid configuration satisfies Gamma_i = Gamma_0 - k phi_i with
     6 Gamma_0 = k sum(phi); each target must fit in the interval reachable
@@ -211,26 +230,37 @@ def _gamma_targets(spec: SearchSpec, phi: tuple[int, ...]) -> list[tuple[int, tu
                 ok = False
                 break
         if ok:
-            out.append((k, targets))
+            out.append(targets)
     return out
 
 
 # ---------------------------------------------------------------------------
 # the per-gap-vector DFS
 
-_MULTISET_MEMO: dict = {}
+
+def _suffix_bounds(allowed: dict, cells: list) -> list:
+    """(min, max) allowed weight over ``cells[k:]`` for each k, then (None, None)."""
+    out = [(None, None)]
+    for cell in reversed(cells):
+        mn, mx = out[-1]
+        ws = allowed[cell]
+        if ws:
+            mn = ws[0] if mn is None else min(mn, ws[0])
+            mx = ws[-1] if mx is None else max(mx, ws[-1])
+        out.append((mn, mx))
+    return out[::-1]
 
 
-def _multisets_by_sum(allowed: tuple[int, ...], m: int):
-    """Size-m multisets of allowed weights, sorted by sum: (sums, multisets)."""
+def _multisets_by_sum(memo: dict, allowed: tuple[int, ...], m: int):
+    """Size-m multisets of allowed weights, sorted by sum: (sums, multisets), via memo."""
     key = (allowed, m)
-    got = _MULTISET_MEMO.get(key)
+    got = memo.get(key)
     if got is None:
         pairs = sorted(
             (sum(ws), ws) for ws in combinations_with_replacement(allowed, m)
         )
         got = (tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
-        _MULTISET_MEMO[key] = got
+        memo[key] = got
     return got
 
 
@@ -242,10 +272,11 @@ class _GapSearch:
     reachable by their remaining slots, using per-cell weight bounds.
     """
 
-    def __init__(self, spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sink):
+    def __init__(self, spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sink, memo):
         self.spec = spec
         self.stats = stats
         self.sink = sink
+        self.memo = memo
         self.profile = MomentProfile.from_gaps(gaps)
         self.phi = self.profile.values
         self.palindromic = gaps == gaps[::-1]
@@ -266,29 +297,16 @@ class _GapSearch:
         self.send_min = {}
         self.send_max = {}
         for i in range(DIM):
-            mn: int | None = None
-            mx: int | None = None
-            self.send_min[(i, N_POINTS)] = None
-            self.send_max[(i, N_POINTS)] = None
-            for j in range(N_POINTS - 1, i, -1):
-                cell = allowed[(i, j)]
-                if cell:
-                    mn = cell[0] if mn is None else min(mn, cell[0])
-                    mx = cell[-1] if mx is None else max(mx, cell[-1])
+            cells = [(i, j) for j in range(i + 1, N_POINTS)]
+            for j, (mn, mx) in enumerate(_suffix_bounds(allowed, cells), start=i + 1):
                 self.send_min[(i, j)] = mn
                 self.send_max[(i, j)] = mx
         # suffix weight bounds for the receiver: over down cells (l.., j)
         self.recv_dn_min = {}
         self.recv_dn_max = {}
         for j in range(1, N_POINTS):
-            mn = mx = None
-            self.recv_dn_min[(j, j)] = None
-            self.recv_dn_max[(j, j)] = None
-            for l in range(j - 1, -1, -1):
-                cell = allowed[(l, j)]
-                if cell:
-                    mn = cell[0] if mn is None else min(mn, cell[0])
-                    mx = cell[-1] if mx is None else max(mx, cell[-1])
+            cells = [(l, j) for l in range(j)]
+            for l, (mn, mx) in enumerate(_suffix_bounds(allowed, cells)):
                 self.recv_dn_min[(j, l)] = mn
                 self.recv_dn_max[(j, l)] = mx
         # whole-block weight bounds for a vertex's upward cells
@@ -310,15 +328,12 @@ class _GapSearch:
         down = list(range(N_POINTS))
         psum = [0] * N_POINTS
         acc: list = []
-        if spec.prune_gamma:
-            candidates = _gamma_targets(spec, self.phi)
-            if not candidates:
-                self.stats.pruned["gamma"] += 1
-                return
-            for _, targets in candidates:
-                self.targets = targets
-                self._dfs(0, up, down, psum, acc)
-        else:
+        candidates = _gamma_targets(spec, self.phi) if spec.prune_gamma else [None]
+        if not candidates:
+            self.stats.pruned["gamma"] += 1
+            return
+        for targets in candidates:
+            self.targets = targets
             self._dfs(0, up, down, psum, acc)
 
     def _bump(self) -> None:
@@ -393,7 +408,7 @@ class _GapSearch:
             if not last_up and up[i] - m > down_tail:
                 self.stats.pruned["slot"] += 1
                 continue
-            sums, msets = _multisets_by_sum(allowed, m)
+            sums, msets = _multisets_by_sum(self.memo, allowed, m)
             if gamma:
                 window = self._sum_window(i, j, m, up, down, psum)
                 if window is None:
@@ -449,18 +464,13 @@ class _GapSearch:
             effective=self.spec.require_effective,
         )
         spec = self.spec
-        if not is_valid(config):
+        if (
+            not is_valid(config)
+            or (spec.c1 is not None and compute_c1(config) != spec.c1)
+            or not all(_has_edge(config, i, j, config.max_weight()) for i, j in spec.largest_from)
+        ):
             self.stats.pruned["final"] += 1
             return
-        if spec.c1 is not None and compute_c1(config) != spec.c1:
-            self.stats.pruned["final"] += 1
-            return
-        if spec.largest_from:
-            top = config.max_weight()
-            for i, j in spec.largest_from:
-                if not any(e.lo == i and e.hi == j and e.w == top for e in config.edges):
-                    self.stats.pruned["final"] += 1
-                    return
         try:
             cohomology.total_chern(config)
         except cohomology.CohomologyError:
@@ -474,8 +484,9 @@ class _GapSearch:
 def _search_chunk(spec: SearchSpec, gap_chunk) -> tuple[list[Configuration], SearchStats]:
     stats = SearchStats()
     sink: list[Configuration] = []
+    memo: dict = {}
     for gaps in gap_chunk:
-        _GapSearch(spec, gaps, stats, sink).run()
+        _GapSearch(spec, gaps, stats, sink, memo).run()
     return sink, stats
 
 
@@ -484,7 +495,8 @@ def enumerate_configurations(spec: SearchSpec, workers: int | None = None) -> Se
 
     Deterministic: the result (including statistics other than wall time) is
     byte-identical across worker counts, and ``BudgetExceeded`` is raised
-    exactly when the total node count exceeds ``spec.node_limit``.
+    exactly when the total node count exceeds ``spec.node_limit``; a worker
+    pool stops as soon as the chunks merged so far exceed it.
     """
     start = time.monotonic()
     gaps = _gap_vectors(spec)
@@ -494,23 +506,29 @@ def enumerate_configurations(spec: SearchSpec, workers: int | None = None) -> Se
             workers = int(env) if env else (os.cpu_count() or 1)
         except ValueError:
             raise SpecError(f"HAMFIX_THREADS must be an integer, got {env!r}") from None
-    workers = max(1, min(workers, len(gaps) or 1))
-    stats = SearchStats()
-    configs: list[Configuration] = []
-    if workers == 1 or len(gaps) < 2:
-        sink, st = _search_chunk(spec, gaps)
-        configs.extend(sink)
-        stats.merge(st)
+        if workers < 1:
+            raise SpecError(f"HAMFIX_THREADS must be at least 1, got {env!r}")
+    elif workers < 1:
+        raise SpecError(f"worker count must be at least 1, got {workers}")
+    workers = min(workers, len(gaps) or 1)
+    if workers == 1:
+        configs, stats = _search_chunk(spec, gaps)
     else:
+        stats = SearchStats()
+        configs = []
         chunk_size = max(1, len(gaps) // (workers * 8))
         chunks = [gaps[i : i + chunk_size] for i in range(0, len(gaps), chunk_size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for sink, st in pool.map(_search_chunk, [spec] * len(chunks), chunks):
-                configs.extend(sink)
-                stats.merge(st)
-    # a chunk raises only when it alone exceeds the limit; together they still can
-    if spec.node_limit is not None and stats.nodes > spec.node_limit:
-        raise BudgetExceeded(f"node limit {spec.node_limit} exceeded")
+            try:
+                for sink, st in pool.map(_search_chunk, [spec] * len(chunks), chunks):
+                    configs.extend(sink)
+                    stats.merge(st)
+                    # a chunk raises only when it alone exceeds the limit
+                    if spec.node_limit is not None and stats.nodes > spec.node_limit:
+                        raise BudgetExceeded(f"node limit {spec.node_limit} exceeded")
+            except BudgetExceeded:
+                pool.shutdown(cancel_futures=True)
+                raise
     configs = sorted(set(configs), key=sort_key)
     stats.wall_ms = (time.monotonic() - start) * 1000.0
     return SearchResult(spec, tuple(configs), stats)
@@ -534,18 +552,19 @@ class TheoremReport:
             "passed": self.passed,
             "summary": self.summary,
             "data": self.data,
-            "statistics": {"nodes": self.stats.nodes, "pruned": dict(self.stats.pruned)},
+            "statistics": self.stats.to_dict(),
         }
 
 
-def _ws_of(config: Configuration):
-    return derive_weight_system(config).weights
+def _weight_systems(configs) -> list[tuple[tuple[int, ...], ...]]:
+    """Distinct per-vertex weight multisets realized, sorted."""
+    return sorted({derive_weight_system(c).weights for c in configs})
 
 
 def o_weight_system() -> tuple[tuple[int, ...], ...]:
     from .examples import builtin
 
-    return _ws_of(builtin("o"))
+    return _weight_systems([builtin("o")])[0]
 
 
 def verify_theorem1(
@@ -673,7 +692,7 @@ def verify_theorem3(workers: int | None = None) -> TheoremReport:
         for c in res.configurations
         if c.profile.width == 10 and c.max_weight() == 5
     ]
-    systems = sorted({_ws_of(c) for c in sel})
+    systems = _weight_systems(sel)
     data: dict = {"configurations": len(sel), "weight_systems": len(systems)}
     passed = len(systems) == 1 and systems[0] == o_weight_system()
     if sel:
@@ -682,22 +701,20 @@ def verify_theorem3(workers: int | None = None) -> TheoremReport:
         simple_pairing = len(rep.edges) == 15 and all(e.mult == 1 for e in rep.edges) and len(
             {(e.lo, e.hi) for e in rep.edges}
         ) == 15
-        rp = cohomology.ring_presentation(rep)
+        ring_q = [str(q) for q in cohomology.ring_presentation(rep).q]
         data.update(
             {
                 "gaps": list(gaps),
                 "one_edge_per_pair": simple_pairing,
-                "ring_q": [str(q) for q in rp.q],
+                "ring_q": ring_q,
             }
         )
         passed = (
             passed
             and gaps == (1, 3, 2, 3, 1)
             and simple_pairing
-            and [str(q) for q in rp.q] == ["1", "1", "1/3", "1/6", "1/18", "1/18"]
+            and ring_q == ["1", "1", "1/3", "1/6", "1/18", "1/18"]
         )
-    else:
-        passed = False
     summary = (
         "unique weight system with the expected gaps, pairing and ring"
         if passed
@@ -722,7 +739,8 @@ def verify_theorem4(a: int, c: int, workers: int | None = None) -> TheoremReport
     For gaps (a, c, 2a, c, a) with the largest weight 2a+c on edges (0,5),
     (1,3) and (2,4), effectiveness forces gcd(a, c/3) = 1 and exactly one
     weight system survives: the parametric one, reducing to the
-    coadjoint-orbit data at (a, c) = (1, 3).
+    coadjoint-orbit data at (a, c) = (1, 3).  The search pins that one gap
+    vector; only the largest-weight hypothesis is read off its result.
     """
     a, c = int(a), int(c)
     if a < 1 or c < 1:
@@ -743,24 +761,12 @@ def verify_theorem4(a: int, c: int, workers: int | None = None) -> TheoremReport
             2 * w,
             largest_from=((0, 5), (1, 3), (2, 4)),
             require_effective=True,
-            symmetry_gaps=True,
+            gaps=(a, c, 2 * a, c, a),
         ),
         workers=workers,
     )
-    sel = []
-    for cfg in res.configurations:
-        phi = cfg.profile.values
-        gaps = cfg.profile.gaps
-        if (
-            cfg.profile.width == 2 * w
-            and cfg.max_weight() == w
-            and phi[3] - phi[1] == w
-            and phi[4] - phi[2] == w
-            and gaps[0] == a
-            and gaps[1] == c
-        ):
-            sel.append(cfg)
-    systems = sorted({_ws_of(cfg) for cfg in sel})
+    sel = [cfg for cfg in res.configurations if cfg.max_weight() == w]
+    systems = _weight_systems(sel)
     expected = theorem4_weight_system(a, c)
     passed = systems == [expected]
     data = {

@@ -167,6 +167,13 @@ def test_console_script_entry_point(o_file):
         ["verify", "thm1", "--max-weight", "0"],
         ["verify", "thm1", "--max-width", "0"],
         ["verify", "thm2", "--max-width", "0"],
+        ["enumerate", "--max-weight", "2", "--max-width", "5", "--threads", "0"],
+        ["enumerate", "--max-weight", "2", "--max-width", "5", "--threads", "-3"],
+        ["enumerate", "--max-weight", "2", "--max-width", "5", "--node-limit", "-1"],
+        ["enumerate", "--max-weight", "5", "--max-width", "10", "--gaps", "3,1,1,1,1"],
+        ["enumerate", "--max-weight", "5", "--max-width", "10", "--gaps", "1,1,1,1"],
+        ["enumerate", "--max-weight", "5", "--max-width", "9", "--gaps", "1,3,2,3,1"],
+        ["project-gkm", "--xi", "x,1"],
     ],
 )
 def test_argument_errors_exit_2_with_one_line(argv, capsys):
@@ -177,11 +184,16 @@ def test_argument_errors_exit_2_with_one_line(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-def test_bad_thread_count_env_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("HAMFIX_THREADS", "abc")
+@pytest.mark.parametrize(
+    "value, message",
+    [("abc", "must be an integer, got 'abc'"), ("0", "must be at least 1, got '0'")],
+    ids=["abc", "0"],
+)
+def test_bad_thread_count_env_exits_2(value, message, monkeypatch, capsys):
+    monkeypatch.setenv("HAMFIX_THREADS", value)
     assert main(["enumerate", "--max-weight", "2", "--max-width", "5"]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert lines == ["error: HAMFIX_THREADS must be an integer, got 'abc'"]
+    assert lines == [f"error: HAMFIX_THREADS {message}"]
 
 
 def test_check_rejects_coerced_json(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from hamfix import (
     BudgetExceeded,
     SearchSpec,
+    SpecError,
     builtin,
     derive_weight_system,
     enumerate_configurations,
@@ -44,14 +45,44 @@ def test_spec_validation():
         dict(largest_from=((0, 9),)),
         dict(largest_from=((-1, 2),)),
         dict(largest_from=((3, 3),)),
+        dict(largest_from=((0, True),)),
+        dict(c1="3"),
+        dict(c1=True),
+        dict(max_width=10.0),
+        dict(node_limit=-1),
+        dict(require_effective=1),
+        dict(prune_gamma="false"),
+        dict(gaps=(3, 1, 1, 1, 1)),  # not mirror-canonical
+        dict(gaps=(1, 1, 1, 1)),
+        dict(gaps=(1, 0, 1, 1, 1)),
+        dict(gaps=(1, 3, 2, 3, 2)),  # wider than 10
     ):
-        with pytest.raises(ValueError):
-            SearchSpec(5, 10, **bad)
+        with pytest.raises(SpecError):
+            SearchSpec(**{"max_weight": 5, "max_width": 10, **bad})
+    for doc in (
+        {"c1": "3"},
+        {"pruningToggles": {"gamma": "false"}},
+        {"nodeLimit": -1},
+        {"gaps": [3, 1, 1, 1, 1]},
+    ):
+        with pytest.raises(SpecError):
+            SearchSpec.from_dict({"maxWeight": 5, "maxWidth": 10, **doc})
 
 
 def test_spec_json_round_trip():
-    spec = SearchSpec(5, 12, c1=3, largest_from=((0, 5),), symmetry_gaps=True)
+    spec = SearchSpec(5, 12, c1=3, largest_from=((0, 5),), gaps=(1, 3, 2, 3, 1))
     assert SearchSpec.from_dict(spec.to_dict()) == spec
+
+
+def test_pinned_gaps_match_open_search():
+    open_res = enumerate_configurations(SearchSpec(5, 10), workers=1)
+    pins = sorted({c.profile.gaps for c in open_res.configurations})
+    assert pins == [(1, 1, 1, 1, 1), (1, 1, 2, 1, 1), (1, 3, 2, 3, 1)]
+    for gaps in pins + [(1, 1, 1, 1, 2)]:
+        pinned = enumerate_configurations(SearchSpec(5, 10, gaps=gaps), workers=1)
+        expected = tuple(c for c in open_res.configurations if c.profile.gaps == gaps)
+        assert pinned.configurations == expected
+        assert bool(expected) == (gaps != (1, 1, 1, 1, 2))
 
 
 def test_o_weight_system_frozen():
