@@ -22,6 +22,7 @@ from .model import (
     MomentProfile,
     N_POINTS,
     WeightEdge,
+    _is_int,
     canonicalize,
 )
 
@@ -118,7 +119,7 @@ def _builtin_o() -> Configuration:
 
 def _builtin_cp5(a: int, b: int, c: int, d: int, e: int) -> Configuration:
     gaps = (a, b, c, d, e)
-    if any(int(g) < 1 for g in gaps):
+    if any(g < 1 for g in gaps):
         raise ParamError(f"cp5 gaps must be positive integers, got {gaps}")
     prof = MomentProfile.from_gaps(gaps)
     phi = prof.values
@@ -186,7 +187,8 @@ def builtin(name: str, *params: int) -> Configuration:
         raise ParamError(
             f"builtin {name!r} takes {_ARITY[name]} parameters, got {len(params)}"
         )
-    params = tuple(int(p) for p in params)
+    if not all(_is_int(p) for p in params):
+        raise ParamError(f"builtin {name!r} parameters must be integers, got {params}")
     if name == "o":
         return canonicalize(_builtin_o())
     if name == "cp5":

@@ -71,7 +71,9 @@ class MomentProfile:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(int(v) for v in self.values)
+        vals = tuple(self.values)
+        if not all(_is_int(v) for v in vals):
+            raise ValueError(f"moment values must be integers, got {vals}")
         object.__setattr__(self, "values", vals)
         if len(vals) != N_POINTS:
             raise ValueError(f"expected {N_POINTS} moment values, got {len(vals)}")
@@ -84,7 +86,7 @@ class MomentProfile:
     def from_gaps(cls, gaps) -> "MomentProfile":
         vals = [0]
         for g in gaps:
-            vals.append(vals[-1] + int(g))
+            vals.append(vals[-1] + g)
         return cls(tuple(vals))
 
     @property
@@ -127,9 +129,6 @@ class Configuration:
     @property
     def moment(self) -> tuple[int, ...]:
         return self.profile.values
-
-    def gap(self, i: int, j: int) -> int:
-        return self.profile.values[j] - self.profile.values[i]
 
     def max_weight(self) -> int:
         return max(e.w for e in self.edges) if self.edges else 0

@@ -10,9 +10,13 @@ duality, an integral Chern expansion, and matches the requested filters.
 Search order: gap vector first, then edge cells in lexicographic pair order
 ``(0,1), (0,2), ..., (4,5)``.  Because a vertex's downward cells all precede
 its upward cells, each vertex's weight sum closes at a known cell, which is
-where the weight-sum (first-Chern) targets are enforced.  Three pruning
-rules can be toggled off independently, in which case the same final set is
-produced by brute force:
+where the weight-sum (first-Chern) targets are enforced.  A gap vector that
+survives the extremal and weight-sum tests gets a cell plan: one tuple per
+cell holding its allowed weights, whether it closes a vertex's upward or
+downward slots, and the weight bounds of the cells still open at its two
+vertices, so the DFS reads everything it needs at a cell from one entry.
+Three pruning rules can be toggled off independently, in which case the
+same final set is produced by brute force:
 
 * ``divisibility`` -- restrict cell weights to divisors of the moment gap;
 * ``extremal``      -- force the two extremal edges to carry the full gap;
@@ -38,6 +42,7 @@ from .constraints import C1_MAX, C1_MIN, check_all, compute_c1, is_valid
 from .model import (
     DIM,
     N_POINTS,
+    PAIRS,
     Configuration,
     MomentProfile,
     WeightEdge,
@@ -47,8 +52,6 @@ from .model import (
     flip,
     sort_key,
 )
-
-_CELLS = tuple((i, j) for i in range(DIM) for j in range(i + 1, N_POINTS))
 
 PRUNE_RULES = ("extremal", "gamma", "slot", "final")
 
@@ -92,6 +95,8 @@ class SearchSpec:
             raise SpecError(f"c1 must be in [{C1_MIN}, {C1_MAX}], got {self.c1}")
         if self.node_limit is not None and self.node_limit < 0:
             raise SpecError(f"node_limit must be at least 0, got {self.node_limit}")
+        if not isinstance(self.largest_from, (tuple, list)):
+            raise SpecError(f"largest_from must be a list of pairs, got {self.largest_from!r}")
         for p in self.largest_from:
             ok = isinstance(p, (tuple, list)) and len(p) == 2 and all(_is_int(v) for v in p)
             if not (ok and 0 <= min(p) < max(p) < N_POINTS):
@@ -127,12 +132,17 @@ class SearchSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SearchSpec":
-        toggles = d.get("pruningToggles", {})
+        toggles = d.get("pruningToggles", {}) if isinstance(d, dict) else None
+        if not isinstance(toggles, dict):
+            raise SpecError("a search spec and its pruningToggles must be JSON objects")
+        missing = sorted({"maxWeight", "maxWidth"} - d.keys())
+        if missing:
+            raise SpecError(f"search spec lacks {', '.join(missing)}")
         return cls(
             max_weight=d["maxWeight"],
             max_width=d["maxWidth"],
             c1=d.get("c1"),
-            largest_from=tuple(d.get("largestFrom", ())),
+            largest_from=d.get("largestFrom", ()),
             require_effective=d.get("requireEffective", False),
             gaps=d.get("gaps"),
             prune_divisibility=toggles.get("divisibility", True),
@@ -238,19 +248,6 @@ def _gamma_targets(spec: SearchSpec, phi: tuple[int, ...]) -> list[tuple[int, ..
 # the per-gap-vector DFS
 
 
-def _suffix_bounds(allowed: dict, cells: list) -> list:
-    """(min, max) allowed weight over ``cells[k:]`` for each k, then (None, None)."""
-    out = [(None, None)]
-    for cell in reversed(cells):
-        mn, mx = out[-1]
-        ws = allowed[cell]
-        if ws:
-            mn = ws[0] if mn is None else min(mn, ws[0])
-            mx = ws[-1] if mx is None else max(mx, ws[-1])
-        out.append((mn, mx))
-    return out[::-1]
-
-
 def _multisets_by_sum(memo: dict, allowed: tuple[int, ...], m: int):
     """Size-m multisets of allowed weights, sorted by sum: (sums, multisets), via memo."""
     key = (allowed, m)
@@ -264,74 +261,81 @@ def _multisets_by_sum(memo: dict, allowed: tuple[int, ...], m: int):
     return got
 
 
-class _GapSearch:
-    """DFS over edge cells for one gap vector (and one target vector, if any).
+def _cell_plan(spec: SearchSpec, gaps: tuple[int, ...], phi: tuple[int, ...]) -> tuple:
+    """One entry per cell (i, j) of ``PAIRS``, everything the DFS reads at that cell.
 
-    With weight-sum targets active, each cell choice is restricted to the
-    multisets whose sum keeps both endpoint vertices inside the window still
-    reachable by their remaining slots, using per-cell weight bounds.
+    An entry is ``(i, j, allowed, last_up, last_down, row_rest, up_j, down_rest)``:
+    the cell's allowed weights; whether it is the last upward cell of i and
+    the last downward cell of j; and the (min, max) allowed weight over the
+    cells after j in row i, over row j's upward cells, and over j's downward
+    cells from rows after i.  No cell's allowed weights are empty, so a
+    bound is (0, 0) only over no cells, where the DFS has no slots left to
+    fill and the bound is multiplied by 0.
+    """
+    maxw = spec.max_weight
+    allowed = {}
+    for i, j in PAIRS:
+        if spec.prune_divisibility:
+            allowed[(i, j)] = _divisors_leq(phi[j] - phi[i], maxw)
+        else:
+            allowed[(i, j)] = tuple(range(1, maxw + 1))
+    if spec.prune_extremal:
+        allowed[(0, 1)] = (gaps[0],)
+        allowed[(4, 5)] = (gaps[4],)
+
+    def bounds(cells):
+        ws = [w for cell in cells for w in allowed[cell]]
+        return (min(ws), max(ws)) if ws else (0, 0)
+
+    return tuple(
+        (
+            i,
+            j,
+            allowed[(i, j)],
+            j == N_POINTS - 1,
+            i == j - 1,
+            bounds((i, l) for l in range(j + 1, N_POINTS)),
+            bounds((j, l) for l in range(j + 1, N_POINTS)),
+            bounds((l, j) for l in range(i + 1, j)),
+        )
+        for i, j in PAIRS
+    )
+
+
+class _GapSearch:
+    """DFS over the edge cells of one gap vector (and one target vector, if any).
+
+    ``run`` first rejects the gap vector on the extremal and weight-sum
+    tests, and only a survivor builds its cell plan (``_cell_plan``).
+    ``_dfs(ci, ...)`` works from ``plan[ci]`` alone.  With weight-sum
+    targets active, each cell choice is restricted to the multisets whose
+    sum keeps both endpoint vertices inside the window still reachable by
+    their remaining slots, using the entry's weight bounds.
     """
 
     def __init__(self, spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sink, memo):
         self.spec = spec
+        self.gaps = gaps
         self.stats = stats
         self.sink = sink
         self.memo = memo
-        self.profile = MomentProfile.from_gaps(gaps)
-        self.phi = self.profile.values
-        self.palindromic = gaps == gaps[::-1]
-        maxw = spec.max_weight
-        allowed = {}
-        for i, j in _CELLS:
-            gap = self.phi[j] - self.phi[i]
-            if spec.prune_divisibility:
-                allowed[(i, j)] = _divisors_leq(gap, maxw)
-            else:
-                allowed[(i, j)] = tuple(range(1, maxw + 1))
-        if spec.prune_extremal:
-            g1, g5 = gaps[0], gaps[4]
-            allowed[(0, 1)] = (g1,) if g1 <= maxw else ()
-            allowed[(4, 5)] = (g5,) if g5 <= maxw else ()
-        self.allowed = allowed
-        # suffix weight bounds for the sender block: over cells (i, j'..5)
-        self.send_min = {}
-        self.send_max = {}
-        for i in range(DIM):
-            cells = [(i, j) for j in range(i + 1, N_POINTS)]
-            for j, (mn, mx) in enumerate(_suffix_bounds(allowed, cells), start=i + 1):
-                self.send_min[(i, j)] = mn
-                self.send_max[(i, j)] = mx
-        # suffix weight bounds for the receiver: over down cells (l.., j)
-        self.recv_dn_min = {}
-        self.recv_dn_max = {}
-        for j in range(1, N_POINTS):
-            cells = [(l, j) for l in range(j)]
-            for l, (mn, mx) in enumerate(_suffix_bounds(allowed, cells)):
-                self.recv_dn_min[(j, l)] = mn
-                self.recv_dn_max[(j, l)] = mx
-        # whole-block weight bounds for a vertex's upward cells
-        self.up_all_min = {}
-        self.up_all_max = {}
-        for v in range(N_POINTS):
-            self.up_all_min[v] = self.send_min.get((v, v + 1))
-            self.up_all_max[v] = self.send_max.get((v, v + 1))
-        self.targets: tuple[int, ...] | None = None
 
     def run(self) -> None:
-        spec = self.spec
-        if spec.prune_extremal and (
-            not self.allowed[(0, 1)] or not self.allowed[(4, 5)]
-        ):
+        spec, gaps = self.spec, self.gaps
+        if spec.prune_extremal and (gaps[0] > spec.max_weight or gaps[4] > spec.max_weight):
             self.stats.pruned["extremal"] += 1
             return
+        self.profile = MomentProfile.from_gaps(gaps)
+        phi = self.profile.values
+        candidates = _gamma_targets(spec, phi) if spec.prune_gamma else [None]
+        if not candidates:
+            self.stats.pruned["gamma"] += 1
+            return
+        self.plan = _cell_plan(spec, gaps, phi)
         up = [DIM - v for v in range(N_POINTS)]
         down = list(range(N_POINTS))
         psum = [0] * N_POINTS
         acc: list = []
-        candidates = _gamma_targets(spec, self.phi) if spec.prune_gamma else [None]
-        if not candidates:
-            self.stats.pruned["gamma"] += 1
-            return
         for targets in candidates:
             self.targets = targets
             self._dfs(0, up, down, psum, acc)
@@ -342,48 +346,11 @@ class _GapSearch:
         if limit is not None and self.stats.nodes > limit:
             raise BudgetExceeded(f"node limit {limit} exceeded")
 
-    def _sum_window(self, i, j, m, up, down, psum):
-        """Admissible weight-sum range for an m-slot choice at cell (i, j)."""
-        targets = self.targets
-        up_i2 = up[i] - m
-        base_i = targets[i] - psum[i]
-        if up_i2 == 0:
-            lo_i = hi_i = base_i
-        else:
-            mn = self.send_min.get((i, j + 1))
-            if mn is None:
-                return None  # leftover upward slots with nowhere to go
-            mx = self.send_max[(i, j + 1)]
-            lo_i, hi_i = base_i - up_i2 * mx, base_i - up_i2 * mn
-        dn_j2 = down[j] - m
-        base_j = targets[j] - psum[j]
-        fl = fh = 0
-        if up[j]:
-            mn, mx = self.up_all_min[j], self.up_all_max[j]
-            if mn is None:
-                return None
-            fl += up[j] * mn
-            fh += up[j] * mx
-        if dn_j2:
-            mn = self.recv_dn_min.get((j, i + 1))
-            if mn is None:
-                return None
-            mx = self.recv_dn_max[(j, i + 1)]
-            fl -= dn_j2 * mx
-            fh -= dn_j2 * mn
-        lo_j, hi_j = fl - base_j, fh - base_j
-        lo, hi = max(lo_i, lo_j), min(hi_i, hi_j)
-        if lo > hi:
-            return None
-        return lo, hi
-
     def _dfs(self, ci: int, up, down, psum, acc) -> None:
-        if ci == len(_CELLS):
+        if ci == len(PAIRS):
             self._emit(acc)
             return
-        i, j = _CELLS[ci]
-        last_up = j == N_POINTS - 1
-        last_down = i == j - 1
+        i, j, allowed, last_up, last_down, row_rest, up_j, down_rest = self.plan[ci]
         if last_up and last_down:
             if up[i] != down[j]:
                 self.stats.pruned["slot"] += 1
@@ -401,20 +368,26 @@ class _GapSearch:
             m_choices = (down[j],)
         else:
             m_choices = range(min(up[i], down[j]) + 1)
-        allowed = self.allowed[(i, j)]
-        gamma = self.targets is not None
-        down_tail = sum(down[j2] for j2 in range(j + 1, N_POINTS)) if not last_up else 0
+        targets = self.targets
+        down_tail = sum(down[j + 1 :])
         for m in m_choices:
-            if not last_up and up[i] - m > down_tail:
+            if up[i] - m > down_tail:
                 self.stats.pruned["slot"] += 1
                 continue
             sums, msets = _multisets_by_sum(self.memo, allowed, m)
-            if gamma:
-                window = self._sum_window(i, j, m, up, down, psum)
-                if window is None:
-                    self.stats.pruned["gamma"] += 1
-                    continue
-                lo, hi = window
+            if targets is not None:
+                # the cell's weight sum must leave both vertices able to reach
+                # their targets with the slots they have left
+                rest_i, rest_j = up[i] - m, down[j] - m
+                need_i, need_j = targets[i] - psum[i], psum[j] - targets[j]
+                lo = max(
+                    need_i - rest_i * row_rest[1],
+                    need_j + up[j] * up_j[0] - rest_j * down_rest[1],
+                )
+                hi = min(
+                    need_i - rest_i * row_rest[0],
+                    need_j + up[j] * up_j[1] - rest_j * down_rest[0],
+                )
                 a = bisect_left(sums, lo)
                 b = bisect_right(sums, hi)
                 if a > 0 or b < len(sums):
@@ -438,20 +411,7 @@ class _GapSearch:
                 psum[j] += s
 
     def _emit(self, acc) -> None:
-        # raw screen: global smallest-weight balance, before any object churn
-        wmin = None
-        for _, _, weights in acc:
-            for w in weights:
-                if wmin is None or w < wmin:
-                    wmin = w
-        plus = [0] * N_POINTS
-        minus = [0] * N_POINTS
-        for i, j, weights in acc:
-            for w in weights:
-                if w == wmin:
-                    plus[i] += 1
-                    minus[j] += 1
-        if any(plus[m] != minus[m + 1] for m in range(DIM)):
+        if not _leaf_balanced(acc):
             self.stats.pruned["final"] += 1
             return
         edges = []
@@ -476,9 +436,30 @@ class _GapSearch:
         except cohomology.CohomologyError:
             self.stats.pruned["final"] += 1
             return
-        if self.palindromic and sort_key(config) > sort_key(flip(config)):
+        if self.gaps == self.gaps[::-1] and sort_key(config) > sort_key(flip(config)):
             return  # the mirror image is emitted instead
         self.sink.append(config)
+
+
+def _leaf_balanced(acc) -> bool:
+    """Global smallest-weight balance of a leaf's ``(i, j, weights)`` cells.
+
+    The raw form of ``constraints._iter_balance`` over the leaf's edges,
+    run before any object is built: it rejects about 99 % of leaves.
+    """
+    wmin = None
+    for _, _, weights in acc:
+        for w in weights:
+            if wmin is None or w < wmin:
+                wmin = w
+    plus = [0] * N_POINTS
+    minus = [0] * N_POINTS
+    for i, j, weights in acc:
+        for w in weights:
+            if w == wmin:
+                plus[i] += 1
+                minus[j] += 1
+    return all(plus[m] == minus[m + 1] for m in range(DIM))
 
 
 def _search_chunk(spec: SearchSpec, gap_chunk) -> tuple[list[Configuration], SearchStats]:
@@ -742,7 +723,8 @@ def verify_theorem4(a: int, c: int, workers: int | None = None) -> TheoremReport
     coadjoint-orbit data at (a, c) = (1, 3).  The search pins that one gap
     vector; only the largest-weight hypothesis is read off its result.
     """
-    a, c = int(a), int(c)
+    if not (_is_int(a) and _is_int(c)):
+        raise ValueError(f"a and c must be integers, got a={a!r}, c={c!r}")
     if a < 1 or c < 1:
         raise ValueError("a and c must be positive integers")
     if c % 3 != 0:

@@ -72,6 +72,10 @@ def test_param_validation():
         builtin("o", 1)
     with pytest.raises(ParamError):
         builtin("nope")
+    with pytest.raises(ParamError):
+        builtin("cp5", 1.9, 1, 1, 1, 1)  # never truncated to 1
+    with pytest.raises(ParamError):
+        builtin("grass", True, 1, 2)
 
 
 def test_projection_reproduces_builtin():

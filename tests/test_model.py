@@ -45,6 +45,10 @@ def test_moment_profile_validation():
         MomentProfile((1, 2, 3, 4, 5, 6))  # not normalized
     with pytest.raises(ValueError):
         MomentProfile((0, 2, 2, 3, 4, 5))  # not strictly increasing
+    with pytest.raises(ValueError):
+        MomentProfile((0, 1.5, 2, 3, 4, 5))  # never truncated to 1
+    with pytest.raises(ValueError):
+        MomentProfile((0, True, 2, 3, 4, 5))
     prof = MomentProfile.from_gaps((1, 3, 2, 3, 1))
     assert prof.values == (0, 1, 4, 6, 9, 10)
     assert prof.gaps == (1, 3, 2, 3, 1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -19,8 +20,9 @@ from hamfix import (
     verify_theorem3,
     verify_theorem4,
 )
-from hamfix.model import sort_key
-from hamfix.search import o_weight_system
+from hamfix.constraints import _iter_balance
+from hamfix.model import DIM, N_POINTS, PAIRS, WeightEdge, sort_key
+from hamfix.search import _leaf_balanced, o_weight_system
 
 O_WS = (
     (1, 2, 3, 4, 5),
@@ -64,9 +66,14 @@ def test_spec_validation():
         {"pruningToggles": {"gamma": "false"}},
         {"nodeLimit": -1},
         {"gaps": [3, 1, 1, 1, 1]},
+        {"largestFrom": 5},
+        {"pruningToggles": 3},
     ):
         with pytest.raises(SpecError):
             SearchSpec.from_dict({"maxWeight": 5, "maxWidth": 10, **doc})
+    for doc in ({"maxWidth": 10}, [5, 10]):
+        with pytest.raises(SpecError):
+            SearchSpec.from_dict(doc)
 
 
 def test_spec_json_round_trip():
@@ -83,6 +90,10 @@ def test_pinned_gaps_match_open_search():
         expected = tuple(c for c in open_res.configurations if c.profile.gaps == gaps)
         assert pinned.configurations == expected
         assert bool(expected) == (gaps != (1, 1, 1, 1, 2))
+    assert open_res.stats.to_dict() == {
+        "nodes": 464367,
+        "pruned": {"extremal": 1, "gamma": 385078, "slot": 7642, "final": 33807},
+    }
 
 
 def test_o_weight_system_frozen():
@@ -117,6 +128,21 @@ def test_enumerate_largest_from_c1_filter():
         assert c.profile.gaps == (1, 3, 2, 3, 1)
 
 
+# (nodes, extremal, gamma, slot, final) at (2,6): a pruning change that moves
+# these must update the pin and say why
+_STATS_2_6 = {
+    None: (6669, 0, 2477, 151, 857),
+    "divisibility": (30451, 0, 18155, 673, 3862),
+    "extremal": (6669, 0, 2478, 151, 857),
+    "gamma": (478190, 0, 0, 13220, 114095),
+}
+
+
+def _stats(nodes, extremal, gamma, slot, final):
+    pruned = {"extremal": extremal, "gamma": gamma, "slot": slot, "final": final}
+    return {"nodes": nodes, "pruned": pruned}
+
+
 @pytest.mark.parametrize("toggle", ["divisibility", "extremal", "gamma"])
 def test_single_toggle_soundness_small(toggle):
     base = enumerate_configurations(SearchSpec(2, 6), workers=1)
@@ -124,6 +150,31 @@ def test_single_toggle_soundness_small(toggle):
         SearchSpec(2, 6, **{f"prune_{toggle}": False}), workers=1
     )
     assert alt.configurations == base.configurations
+    assert base.stats.to_dict() == _stats(*_STATS_2_6[None])
+    assert alt.stats.to_dict() == _stats(*_STATS_2_6[toggle])
+
+
+def test_leaf_screen_matches_balance_rule():
+    # random slot-respecting leaves: swap the receivers of two slots of the
+    # sorted pairing whenever both slots stay upward
+    rng = random.Random(20240301)
+    ups = sorted(v for v in range(N_POINTS) for _ in range(DIM - v))
+    verdicts = []
+    for _ in range(400):
+        downs = sorted(v for v in range(N_POINTS) for _ in range(v))
+        for _ in range(40):
+            a, b = rng.randrange(len(ups)), rng.randrange(len(ups))
+            if ups[a] < downs[b] and ups[b] < downs[a]:
+                downs[a], downs[b] = downs[b], downs[a]
+        cells = {pair: [] for pair in PAIRS}
+        for i, j in zip(ups, downs):
+            cells[(i, j)].append(rng.randint(1, 5))
+        acc = [(i, j, tuple(sorted(ws))) for (i, j), ws in cells.items()]
+        edges = [WeightEdge(i, j, w) for i, j, ws in acc for w in ws]
+        expected = not any(_iter_balance(edges, lambda v: v, DIM, None, range(N_POINTS)))
+        assert _leaf_balanced(acc) == expected, acc
+        verdicts.append(expected)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_toggle_soundness_nonempty_pool():
@@ -209,6 +260,10 @@ def test_verify_theorem4_param_errors():
         verify_theorem4(2, 6)  # gcd(2, 2) = 2: never effective
     with pytest.raises(ValueError):
         verify_theorem4(0, 3)
+    with pytest.raises(ValueError):
+        verify_theorem4(1.9, 3.2)  # never truncated to (1, 3)
+    with pytest.raises(ValueError):
+        verify_theorem4(True, 3)
 
 
 def test_verify_theorem3_report_shape():
