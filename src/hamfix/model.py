@@ -346,12 +346,19 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _reject_unknown_keys(d: dict, keys: tuple[str, ...], what: str) -> None:
+    unknown = [repr(k) for k in d if k not in keys]
+    if unknown:
+        raise SchemaError(f"unknown {what} keys: {', '.join(unknown)}")
+
+
 def config_from_dict(d) -> Configuration:
     if not isinstance(d, dict):
         raise SchemaError("configuration document must be a JSON object")
     for key in ("moment", "edges"):
         if key not in d:
             raise SchemaError(f"missing required key {key!r}")
+    _reject_unknown_keys(d, ("label", "moment", "edges", "effective"), "configuration")
     moment = d["moment"]
     if not isinstance(moment, list) or not all(_is_int(v) for v in moment):
         raise SchemaError("'moment' must be a list of integers")
@@ -362,6 +369,7 @@ def config_from_dict(d) -> Configuration:
     for item in raw_edges:
         if not isinstance(item, dict):
             raise SchemaError("each edge must be an object")
+        _reject_unknown_keys(item, ("lo", "hi", "w", "mult"), "edge")
         fields = [item.get(key) for key in ("lo", "hi", "w")] + [item.get("mult", 1)]
         if not all(_is_int(v) for v in fields):
             raise SchemaError(f"bad edge entry {item!r}: lo, hi, w, mult must be integers")

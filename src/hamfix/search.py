@@ -10,13 +10,17 @@ duality, an integral Chern expansion, and matches the requested filters.
 Search order: gap vector first, then edge cells in lexicographic pair order
 ``(0,1), (0,2), ..., (4,5)``.  Because a vertex's downward cells all precede
 its upward cells, each vertex's weight sum closes at a known cell, which is
-where the weight-sum (first-Chern) targets are enforced.  A gap vector that
+where the weight-sum (first-Chern) targets are enforced.  The engine is
+plain functions: ``_search_gap`` searches one gap vector.  A gap vector that
 survives the extremal and weight-sum tests gets a cell plan: one tuple per
 cell holding its allowed weights, whether it closes a vertex's upward or
 downward slots, and the weight bounds of the cells still open at its two
-vertices, so the DFS reads everything it needs at a cell from one entry.
-Three pruning rules can be toggled off independently, in which case the
-same final set is produced by brute force:
+vertices, so the nested ``dfs`` closure reads everything it needs at a cell
+from one entry and keeps its slot and weight-sum state in local lists.  A
+complete leaf goes to ``_leaf``, a pure gate that returns the configuration
+or ``None``; ``_search_gap`` alone counts rejected leaves and applies the
+mirror rule.  Three pruning rules can be toggled off independently, in
+which case the same final set is produced by brute force:
 
 * ``divisibility`` -- restrict cell weights to divisors of the moment gap;
 * ``extremal``      -- force the two extremal edges to carry the full gap;
@@ -38,7 +42,7 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 from . import cohomology
-from .constraints import C1_MAX, C1_MIN, check_all, compute_c1, is_valid
+from .constraints import C1_MAX, C1_MIN, compute_c1, is_valid
 from .model import (
     DIM,
     N_POINTS,
@@ -54,6 +58,11 @@ from .model import (
 )
 
 PRUNE_RULES = ("extremal", "gamma", "slot", "final")
+_TOGGLES = ("divisibility", "extremal", "gamma")
+_SPEC_KEYS = (
+    "maxWeight", "maxWidth", "c1", "largestFrom", "requireEffective", "gaps",
+    "pruningToggles", "nodeLimit",
+)
 
 
 class BudgetExceeded(RuntimeError):
@@ -138,6 +147,10 @@ class SearchSpec:
         missing = sorted({"maxWeight", "maxWidth"} - d.keys())
         if missing:
             raise SpecError(f"search spec lacks {', '.join(missing)}")
+        unknown = [repr(k) for k in d if k not in _SPEC_KEYS]
+        unknown += [f"pruningToggles.{k!r}" for k in toggles if k not in _TOGGLES]
+        if unknown:
+            raise SpecError(f"unknown search spec keys: {', '.join(unknown)}")
         return cls(
             max_weight=d["maxWeight"],
             max_width=d["maxWidth"],
@@ -302,79 +315,65 @@ def _cell_plan(spec: SearchSpec, gaps: tuple[int, ...], phi: tuple[int, ...]) ->
     )
 
 
-class _GapSearch:
-    """DFS over the edge cells of one gap vector (and one target vector, if any).
+def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sink, memo) -> None:
+    """DFS over the edge cells of one gap vector, once per weight-sum target vector.
 
-    ``run`` first rejects the gap vector on the extremal and weight-sum
-    tests, and only a survivor builds its cell plan (``_cell_plan``).
-    ``_dfs(ci, ...)`` works from ``plan[ci]`` alone.  With weight-sum
-    targets active, each cell choice is restricted to the multisets whose
-    sum keeps both endpoint vertices inside the window still reachable by
-    their remaining slots, using the entry's weight bounds.
+    The gap vector is first rejected on the extremal and weight-sum tests,
+    and only a survivor builds its cell plan.  ``dfs(ci)`` works from
+    ``plan[ci]`` alone; with targets active, each cell keeps only the
+    multisets whose sum leaves both endpoint vertices able to reach their
+    targets with the slots they have left.
     """
+    pruned = stats.pruned
+    if spec.prune_extremal and (gaps[0] > spec.max_weight or gaps[4] > spec.max_weight):
+        pruned["extremal"] += 1
+        return
+    profile = MomentProfile.from_gaps(gaps)
+    candidates = _gamma_targets(spec, profile.values) if spec.prune_gamma else [None]
+    if not candidates:
+        pruned["gamma"] += 1
+        return
+    plan = _cell_plan(spec, gaps, profile.values)
+    n_cells = len(plan)
+    limit = spec.node_limit
+    mirror = gaps == gaps[::-1]
+    up = [DIM - v for v in range(N_POINTS)]
+    down = list(range(N_POINTS))
+    psum = [0] * N_POINTS
+    acc: list = []
 
-    def __init__(self, spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sink, memo):
-        self.spec = spec
-        self.gaps = gaps
-        self.stats = stats
-        self.sink = sink
-        self.memo = memo
-
-    def run(self) -> None:
-        spec, gaps = self.spec, self.gaps
-        if spec.prune_extremal and (gaps[0] > spec.max_weight or gaps[4] > spec.max_weight):
-            self.stats.pruned["extremal"] += 1
+    def dfs(ci: int) -> None:
+        if ci == n_cells:
+            config = _leaf(spec, profile, acc)
+            if config is None:
+                pruned["final"] += 1
+            elif not (mirror and sort_key(config) > sort_key(flip(config))):
+                sink.append(config)  # else the mirror image is kept instead
             return
-        self.profile = MomentProfile.from_gaps(gaps)
-        phi = self.profile.values
-        candidates = _gamma_targets(spec, phi) if spec.prune_gamma else [None]
-        if not candidates:
-            self.stats.pruned["gamma"] += 1
-            return
-        self.plan = _cell_plan(spec, gaps, phi)
-        up = [DIM - v for v in range(N_POINTS)]
-        down = list(range(N_POINTS))
-        psum = [0] * N_POINTS
-        acc: list = []
-        for targets in candidates:
-            self.targets = targets
-            self._dfs(0, up, down, psum, acc)
-
-    def _bump(self) -> None:
-        self.stats.nodes += 1
-        limit = self.spec.node_limit
-        if limit is not None and self.stats.nodes > limit:
-            raise BudgetExceeded(f"node limit {limit} exceeded")
-
-    def _dfs(self, ci: int, up, down, psum, acc) -> None:
-        if ci == len(PAIRS):
-            self._emit(acc)
-            return
-        i, j, allowed, last_up, last_down, row_rest, up_j, down_rest = self.plan[ci]
+        i, j, allowed, last_up, last_down, row_rest, up_j, down_rest = plan[ci]
         if last_up and last_down:
             if up[i] != down[j]:
-                self.stats.pruned["slot"] += 1
+                pruned["slot"] += 1
                 return
             m_choices = (up[i],)
         elif last_up:
             if up[i] > down[j]:
-                self.stats.pruned["slot"] += 1
+                pruned["slot"] += 1
                 return
             m_choices = (up[i],)
         elif last_down:
             if down[j] > up[i]:
-                self.stats.pruned["slot"] += 1
+                pruned["slot"] += 1
                 return
             m_choices = (down[j],)
         else:
             m_choices = range(min(up[i], down[j]) + 1)
-        targets = self.targets
         down_tail = sum(down[j + 1 :])
         for m in m_choices:
             if up[i] - m > down_tail:
-                self.stats.pruned["slot"] += 1
+                pruned["slot"] += 1
                 continue
-            sums, msets = _multisets_by_sum(self.memo, allowed, m)
+            sums, msets = _multisets_by_sum(memo, allowed, m)
             if targets is not None:
                 # the cell's weight sum must leave both vertices able to reach
                 # their targets with the slots they have left
@@ -391,54 +390,50 @@ class _GapSearch:
                 a = bisect_left(sums, lo)
                 b = bisect_right(sums, hi)
                 if a > 0 or b < len(sums):
-                    self.stats.pruned["gamma"] += 1
+                    pruned["gamma"] += 1
                 if a >= b:
                     continue
                 msets = msets[a:b]
             for weights in msets:
-                self._bump()
+                stats.nodes += 1
+                if limit is not None and stats.nodes > limit:
+                    raise BudgetExceeded(f"node limit {limit} exceeded")
                 s = sum(weights)
                 up[i] -= m
                 down[j] -= m
                 psum[i] += s
                 psum[j] -= s
                 acc.append((i, j, weights))
-                self._dfs(ci + 1, up, down, psum, acc)
+                dfs(ci + 1)
                 acc.pop()
                 up[i] += m
                 down[j] += m
                 psum[i] -= s
                 psum[j] += s
 
-    def _emit(self, acc) -> None:
-        if not _leaf_balanced(acc):
-            self.stats.pruned["final"] += 1
-            return
-        edges = []
-        for i, j, weights in acc:
-            for w in weights:
-                edges.append(WeightEdge(i, j, w))
-        config = Configuration(
-            self.profile,
-            tuple(edges),
-            effective=self.spec.require_effective,
-        )
-        spec = self.spec
-        if (
-            not is_valid(config)
-            or (spec.c1 is not None and compute_c1(config) != spec.c1)
-            or not all(_has_edge(config, i, j, config.max_weight()) for i, j in spec.largest_from)
-        ):
-            self.stats.pruned["final"] += 1
-            return
-        try:
-            cohomology.total_chern(config)
-        except cohomology.CohomologyError:
-            self.stats.pruned["final"] += 1
-            return
-        if self.gaps == self.gaps[::-1] and sort_key(config) > sort_key(flip(config)):
-            return  # the mirror image is emitted instead
-        self.sink.append(config)
+    for targets in candidates:
+        dfs(0)
+
+
+def _leaf(spec: SearchSpec, profile: MomentProfile, acc) -> Configuration | None:
+    """The configuration a complete leaf's ``(i, j, weights)`` cells spell, or
+    ``None`` if it fails the balance screen, ``is_valid``, a filter, or
+    Chern integrality."""
+    if not _leaf_balanced(acc):
+        return None
+    edges = tuple(WeightEdge(i, j, w) for i, j, weights in acc for w in weights)
+    config = Configuration(profile, edges, effective=spec.require_effective)
+    if (
+        not is_valid(config)
+        or (spec.c1 is not None and compute_c1(config) != spec.c1)
+        or not all(_has_edge(config, i, j, config.max_weight()) for i, j in spec.largest_from)
+    ):
+        return None
+    try:
+        cohomology.total_chern(config)
+    except cohomology.CohomologyError:
+        return None
+    return config
 
 
 def _leaf_balanced(acc) -> bool:
@@ -467,7 +462,7 @@ def _search_chunk(spec: SearchSpec, gap_chunk) -> tuple[list[Configuration], Sea
     sink: list[Configuration] = []
     memo: dict = {}
     for gaps in gap_chunk:
-        _GapSearch(spec, gaps, stats, sink, memo).run()
+        _search_gap(spec, gaps, stats, sink, memo)
     return sink, stats
 
 
@@ -609,7 +604,7 @@ def verify_theorem2(max_width: int = 40, workers: int | None = None) -> TheoremR
     res = enumerate_configurations(SearchSpec(5, max_width), workers=workers)
     pool = [c for c in res.configurations if c.max_weight() == 5]
     set1, set2, set3 = [], [], []
-    pool_c1 = [check_all(c).c1 for c in pool]
+    pool_c1 = [compute_c1(c) for c in pool]
     for idx, c in enumerate(pool):
         phi = c.profile.values
         if pool_c1[idx] == 3:

@@ -195,6 +195,12 @@ def test_json_schema_errors():
         config_from_dict({"moment": [0, 1, 2, 3, 4, 5], "edges": [{"lo": 0}]})
     with pytest.raises(SchemaError):
         config_loads("not json")
+    with pytest.raises(SchemaError):  # a misspelt key is not ignored
+        config_from_dict(_o_doc(efective=True))
+    doc = _o_doc()
+    doc["edges"][0] = {"lo": 0, "hi": 1, "w": 1, "mul": 2}
+    with pytest.raises(SchemaError):
+        config_from_dict(doc)
 
 
 def _o_doc(**changes):

@@ -68,6 +68,8 @@ def test_spec_validation():
         {"gaps": [3, 1, 1, 1, 1]},
         {"largestFrom": 5},
         {"pruningToggles": 3},
+        {"gap": [1, 3, 2, 3, 1], "c_1": 3, "pruningToggles": {"gama": False}},
+        {"pruningToggles": {"gama": False}},
     ):
         with pytest.raises(SpecError):
             SearchSpec.from_dict({"maxWeight": 5, "maxWidth": 10, **doc})
@@ -198,12 +200,18 @@ def test_full_brute_force_equivalence_tiny():
 
 
 def test_determinism_across_workers():
-    spec = SearchSpec(5, 10, largest_from=((0, 5),))
-    docs = []
-    for workers in (1, 2, 4):
-        res = enumerate_configurations(spec, workers=workers)
-        docs.append(json.dumps(res.to_dict(), sort_keys=True))
-    assert docs[0] == docs[1] == docs[2]
+    # two filtered searches that emit configurations through the leaf gate
+    for spec, stats in (
+        (SearchSpec(5, 8, require_effective=True), (116738, 0, 92172, 1797, 9358)),
+        (SearchSpec(5, 10, largest_from=((0, 5),), c1=3), (106941, 1, 108815, 1622, 4774)),
+    ):
+        docs = []
+        for workers in (1, 2, 4):
+            res = enumerate_configurations(spec, workers=workers)
+            docs.append(json.dumps(res.to_dict(), sort_keys=True))
+        assert docs[0] == docs[1] == docs[2]
+        assert len(res.configurations) == 2
+        assert res.stats.to_dict() == _stats(*stats)
 
 
 def test_budget_exceeded():
