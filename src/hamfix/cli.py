@@ -32,6 +32,7 @@ from .model import (
     derive_weight_system,
 )
 from .search import (
+    _TOGGLES,
     BudgetExceeded,
     SearchSpec,
     SpecError,
@@ -140,7 +141,7 @@ def _parse_ints(text: str, n: int, flag: str) -> tuple[int, ...]:
 
 def _spec_from_args(args) -> SearchSpec:
     disabled = set(args.no_prune or ())
-    unknown = disabled - {"divisibility", "extremal", "gamma"}
+    unknown = disabled - set(_TOGGLES)
     if unknown:
         raise ParamError(f"unknown pruning rules: {sorted(unknown)}")
     return SearchSpec(
@@ -150,10 +151,8 @@ def _spec_from_args(args) -> SearchSpec:
         largest_from=tuple(_parse_ints(t, 2, "--largest-from") for t in args.largest_from or ()),
         require_effective=args.effective,
         gaps=_parse_ints(args.gaps, 5, "--gaps") if args.gaps else None,
-        prune_divisibility="divisibility" not in disabled,
-        prune_extremal="extremal" not in disabled,
-        prune_gamma="gamma" not in disabled,
         node_limit=args.node_limit,
+        **{f"prune_{rule}": rule not in disabled for rule in _TOGGLES},
     )
 
 
@@ -275,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-prune",
         action="append",
         metavar="RULE",
-        help="disable a pruning rule: divisibility, extremal, gamma (repeatable)",
+        help=f"disable a pruning rule: {', '.join(_TOGGLES)} (repeatable)",
     )
     p_enum.add_argument("--node-limit", type=int, default=None)
     p_enum.add_argument("--threads", type=int, default=None, help="worker count (default HAMFIX_THREADS or all cores)")

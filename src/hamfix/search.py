@@ -19,13 +19,17 @@ vertices, so the nested ``dfs`` closure reads everything it needs at a cell
 from one entry and keeps its slot and weight-sum state in local lists.  A
 complete leaf goes to ``_leaf``, a pure gate that returns the configuration
 or ``None``; ``_search_gap`` alone counts rejected leaves and applies the
-mirror rule.  Three pruning rules can be toggled off independently, in
+mirror rule.  Four pruning rules can be toggled off independently, in
 which case the same final set is produced by brute force:
 
 * ``divisibility`` -- restrict cell weights to divisors of the moment gap;
 * ``extremal``      -- force the two extremal edges to carry the full gap;
 * ``gamma``        -- derive the first-Chern multiple from the gap vector
-                      and enforce exact per-vertex weight-sum targets.
+                      and enforce exact per-vertex weight-sum targets;
+* ``balance``      -- walk once per global smallest weight and require, at
+                      each row's last cell, as many smallest-weight slots
+                      leaving vertex i as entering vertex i + 1 (with it
+                      off, the same balance is screened at the leaf).
 
 Only mirror-canonical configurations are emitted (the reversed action gives
 an equivalent configuration); results are sorted, so output is deterministic
@@ -57,8 +61,8 @@ from .model import (
     sort_key,
 )
 
-PRUNE_RULES = ("extremal", "gamma", "slot", "final")
-_TOGGLES = ("divisibility", "extremal", "gamma")
+PRUNE_RULES = ("extremal", "gamma", "slot", "balance", "final")
+_TOGGLES = ("divisibility", "extremal", "gamma", "balance")
 _SPEC_KEYS = (
     "maxWeight", "maxWidth", "c1", "largestFrom", "requireEffective", "gaps",
     "pruningToggles", "nodeLimit",
@@ -86,6 +90,7 @@ class SearchSpec:
     prune_divisibility: bool = True
     prune_extremal: bool = True
     prune_gamma: bool = True
+    prune_balance: bool = True
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
@@ -93,7 +98,7 @@ class SearchSpec:
             v = getattr(self, name)
             if not _is_int(v) and not (v is None and name in ("c1", "node_limit")):
                 raise SpecError(f"{name} must be an integer, got {v!r}")
-        for name in ("require_effective", "prune_divisibility", "prune_extremal", "prune_gamma"):
+        for name in ("require_effective", *(f"prune_{rule}" for rule in _TOGGLES)):
             if not isinstance(getattr(self, name), bool):
                 raise SpecError(f"{name} must be a boolean, got {getattr(self, name)!r}")
         if self.max_weight < 1:
@@ -131,11 +136,7 @@ class SearchSpec:
             "largestFrom": [list(p) for p in self.largest_from],
             "requireEffective": self.require_effective,
             "gaps": None if self.gaps is None else list(self.gaps),
-            "pruningToggles": {
-                "divisibility": self.prune_divisibility,
-                "extremal": self.prune_extremal,
-                "gamma": self.prune_gamma,
-            },
+            "pruningToggles": {rule: getattr(self, f"prune_{rule}") for rule in _TOGGLES},
             "nodeLimit": self.node_limit,
         }
 
@@ -158,10 +159,8 @@ class SearchSpec:
             largest_from=d.get("largestFrom", ()),
             require_effective=d.get("requireEffective", False),
             gaps=d.get("gaps"),
-            prune_divisibility=toggles.get("divisibility", True),
-            prune_extremal=toggles.get("extremal", True),
-            prune_gamma=toggles.get("gamma", True),
             node_limit=d.get("nodeLimit"),
+            **{f"prune_{rule}": toggles.get(rule, True) for rule in _TOGGLES},
         )
 
 
@@ -274,17 +273,8 @@ def _multisets_by_sum(memo: dict, allowed: tuple[int, ...], m: int):
     return got
 
 
-def _cell_plan(spec: SearchSpec, gaps: tuple[int, ...], phi: tuple[int, ...]) -> tuple:
-    """One entry per cell (i, j) of ``PAIRS``, everything the DFS reads at that cell.
-
-    An entry is ``(i, j, allowed, last_up, last_down, row_rest, up_j, down_rest)``:
-    the cell's allowed weights; whether it is the last upward cell of i and
-    the last downward cell of j; and the (min, max) allowed weight over the
-    cells after j in row i, over row j's upward cells, and over j's downward
-    cells from rows after i.  No cell's allowed weights are empty, so a
-    bound is (0, 0) only over no cells, where the DFS has no slots left to
-    fill and the bound is multiplied by 0.
-    """
+def _allowed_table(spec: SearchSpec, gaps: tuple[int, ...], phi: tuple[int, ...]) -> dict:
+    """Each cell's allowed weights before any floor, keyed by ``(i, j)``."""
     maxw = spec.max_weight
     allowed = {}
     for i, j in PAIRS:
@@ -295,11 +285,40 @@ def _cell_plan(spec: SearchSpec, gaps: tuple[int, ...], phi: tuple[int, ...]) ->
     if spec.prune_extremal:
         allowed[(0, 1)] = (gaps[0],)
         allowed[(4, 5)] = (gaps[4],)
+    return allowed
 
-    def bounds(cells):
-        ws = [w for cell in cells for w in allowed[cell]]
-        return (min(ws), max(ws)) if ws else (0, 0)
 
+def _span(bound, ws):
+    """The (min, max) ``bound`` widened by the sorted weights ``ws``; ``None`` is empty."""
+    if not ws:
+        return bound
+    if bound is None:
+        return (ws[0], ws[-1])
+    return (min(bound[0], ws[0]), max(bound[1], ws[-1]))
+
+
+def _cell_plan(table: dict, floor: int) -> tuple:
+    """One entry per cell (i, j) of ``PAIRS``, everything the DFS reads at that cell.
+
+    An entry is ``(i, j, allowed, last_up, last_down, row_rest, up_j, down_rest)``:
+    the cell's allowed weights from ``table`` that are at least ``floor``;
+    whether it is the last upward cell of i and the last downward cell of
+    j; and the (min, max) allowed weight over the cells after j in row i,
+    over row j's upward cells, and over j's downward cells from rows after
+    i.  A bound over cells with no allowed weight is (0, 0).  Under a floor
+    a cell's allowed weights may be empty (a gap of 2 at floor 3); an empty
+    cell that still has slots to fill yields no multiset, so no leaf lies
+    below such a bound and any window computed over it is sound.
+    """
+    allowed = {cell: tuple(w for w in ws if w >= floor) for cell, ws in table.items()}
+    # after[(i, j)] spans the cells (i, l) with l > j, below[(i, j)] the cells
+    # (l, j) with i < l < j; each extends the one a cell later in its line
+    after, below = {}, {}
+    for i, j in reversed(PAIRS):
+        after[(i, j)] = _span(after.get((i, j + 1)), allowed.get((i, j + 1)))
+        below[(i, j)] = _span(below.get((i + 1, j)), allowed.get((i + 1, j)))
+    row = [_span(after.get((v, v + 1)), allowed.get((v, v + 1))) for v in range(N_POINTS)]
+    none = (0, 0)
     return tuple(
         (
             i,
@@ -307,25 +326,34 @@ def _cell_plan(spec: SearchSpec, gaps: tuple[int, ...], phi: tuple[int, ...]) ->
             allowed[(i, j)],
             j == N_POINTS - 1,
             i == j - 1,
-            bounds((i, l) for l in range(j + 1, N_POINTS)),
-            bounds((j, l) for l in range(j + 1, N_POINTS)),
-            bounds((l, j) for l in range(i + 1, j)),
+            after[(i, j)] or none,
+            row[j] or none,
+            below[(i, j)] or none,
         )
         for i, j in PAIRS
     )
 
 
 def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sink, memo) -> None:
-    """DFS over the edge cells of one gap vector, once per weight-sum target vector.
+    """DFS over the edge cells of one gap vector, once per floor and weight-sum
+    target vector.
 
     The gap vector is first rejected on the extremal and weight-sum tests,
-    and only a survivor builds its cell plan.  ``dfs(ci)`` works from
-    ``plan[ci]`` alone; with targets active, each cell keeps only the
-    multisets whose sum leaves both endpoint vertices able to reach their
-    targets with the slots they have left.
+    and only a survivor builds its allowed-weight table.  With ``balance``
+    on, the walk runs once per floor ``wm``, the leaf's global smallest
+    weight: cells allow only weights >= ``wm``, and ``plus[v]``/``minus[v]``
+    count the ``wm`` slots leaving and entering v.  At row i's last cell
+    (i, 5) all of i's upward cells and all of i + 1's downward cells are
+    placed, so the walk requires ``plus[i] == minus[i + 1]`` there, and at
+    (4, 5) at least one ``wm`` slot (a leaf without one is walked under its
+    own floor).  ``dfs(ci)`` works from ``plan[ci]`` alone; with targets
+    active, each cell keeps only the multisets whose sum leaves both
+    endpoint vertices able to reach their targets with the slots they have
+    left.
     """
     pruned = stats.pruned
-    if spec.prune_extremal and (gaps[0] > spec.max_weight or gaps[4] > spec.max_weight):
+    maxw = spec.max_weight
+    if spec.prune_extremal and (gaps[0] > maxw or gaps[4] > maxw):
         pruned["extremal"] += 1
         return
     profile = MomentProfile.from_gaps(gaps)
@@ -333,13 +361,22 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
     if not candidates:
         pruned["gamma"] += 1
         return
-    plan = _cell_plan(spec, gaps, profile.values)
-    n_cells = len(plan)
+    table = _allowed_table(spec, gaps, profile.values)
+    balance = spec.prune_balance
+    if not balance:
+        floors = (1,)
+    elif spec.prune_extremal:
+        floors = range(1, min(gaps[0], gaps[4], maxw) + 1)
+    else:
+        floors = range(1, maxw + 1)
+    n_cells = len(PAIRS)
     limit = spec.node_limit
     mirror = gaps == gaps[::-1]
     up = [DIM - v for v in range(N_POINTS)]
     down = list(range(N_POINTS))
     psum = [0] * N_POINTS
+    plus = [0] * N_POINTS
+    minus = [0] * N_POINTS
     acc: list = []
 
     def dfs(ci: int) -> None:
@@ -389,12 +426,20 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
                 )
                 a = bisect_left(sums, lo)
                 b = bisect_right(sums, hi)
-                if a > 0 or b < len(sums):
-                    pruned["gamma"] += 1
+                pruned["gamma"] += len(sums) - max(b - a, 0)  # multisets cut
                 if a >= b:
                     continue
                 msets = msets[a:b]
             for weights in msets:
+                if balance:
+                    c = weights.count(wm)
+                    plus[i] += c
+                    minus[j] += c
+                    if last_up and (plus[i] != minus[i + 1] or (last_down and not any(plus))):
+                        plus[i] -= c
+                        minus[j] -= c
+                        pruned["balance"] += 1
+                        continue
                 stats.nodes += 1
                 if limit is not None and stats.nodes > limit:
                     raise BudgetExceeded(f"node limit {limit} exceeded")
@@ -410,16 +455,21 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
                 down[j] += m
                 psum[i] -= s
                 psum[j] += s
+                if balance:
+                    plus[i] -= c
+                    minus[j] -= c
 
-    for targets in candidates:
-        dfs(0)
+    for wm in floors:
+        plan = _cell_plan(table, wm)
+        for targets in candidates:
+            dfs(0)
 
 
 def _leaf(spec: SearchSpec, profile: MomentProfile, acc) -> Configuration | None:
     """The configuration a complete leaf's ``(i, j, weights)`` cells spell, or
-    ``None`` if it fails the balance screen, ``is_valid``, a filter, or
-    Chern integrality."""
-    if not _leaf_balanced(acc):
+    ``None`` if it fails the balance screen (only needed with ``balance``
+    pruning off), ``is_valid``, a filter, or Chern integrality."""
+    if not spec.prune_balance and not _leaf_balanced(acc):
         return None
     edges = tuple(WeightEdge(i, j, w) for i, j, weights in acc for w in weights)
     config = Configuration(profile, edges, effective=spec.require_effective)
@@ -440,7 +490,8 @@ def _leaf_balanced(acc) -> bool:
     """Global smallest-weight balance of a leaf's ``(i, j, weights)`` cells.
 
     The raw form of ``constraints._iter_balance`` over the leaf's edges,
-    run before any object is built: it rejects about 99 % of leaves.
+    run before any object is built.  With ``balance`` pruning off it
+    rejects about 99 % of leaves, which keeps brute force affordable.
     """
     wmin = None
     for _, _, weights in acc:

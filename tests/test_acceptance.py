@@ -175,7 +175,14 @@ def test_criterion_09_gkm_projection():
 def test_criterion_10i_oracle_equivalence():
     pruned = enumerate_configurations(SearchSpec(2, 6))
     brute = enumerate_configurations(
-        SearchSpec(2, 6, prune_divisibility=False, prune_extremal=False, prune_gamma=False)
+        SearchSpec(
+            2,
+            6,
+            prune_divisibility=False,
+            prune_extremal=False,
+            prune_gamma=False,
+            prune_balance=False,
+        )
     )
     assert pruned.configurations == brute.configurations
     _ok(10, "(i) pruned and unpruned enumerations agree at weights<=2, width<=6")

@@ -100,6 +100,19 @@ def test_enumerate_bad_prune_rule():
     assert main(["enumerate", "--max-weight", "2", "--max-width", "5", "--no-prune", "bogus"]) == 2
 
 
+def test_enumerate_no_prune_every_rule(capsys):
+    argv = ["enumerate", "--max-weight", "2", "--max-width", "6", "--threads", "1", "--json"]
+    assert main(argv) == 0
+    base = json.loads(capsys.readouterr().out)
+    rules = ["divisibility", "extremal", "gamma", "balance"]
+    for rule in rules:
+        assert main(argv + ["--no-prune", rule]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["spec"]["pruningToggles"] == {r: r != rule for r in rules}
+        assert doc["configurations"] == base["configurations"]
+        assert doc["statistics"] != base["statistics"]  # the rule reached the search
+
+
 def test_verify_thm3(capsys):
     assert main(["verify", "thm3", "--threads", "1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -311,9 +311,8 @@ def test_mutation_sensitivity_all_fixtures():
                 assert (not report.passed) or report.c1 != baseline
 
 
-def test_is_valid_matches_check_all_random_mutants():
-    # the early-exit walk of is_valid against the full report, on the
-    # builtins and seeded single-edge weight mutants, for every flag value
+def _random_mutant_corpus():
+    """The 272 builtins and 300 seeded single-edge weight mutants of them."""
     base = [builtin("o"), builtin("remark_w7")]
     base += [builtin("cp5", *g) for g in product(range(1, 4), repeat=5)]
     base += [
@@ -330,10 +329,27 @@ def test_is_valid_matches_check_all_random_mutants():
         w_new = rng.randint(1, 8)
         if w_new != e.w:
             mutants.append(mutate_edge(c, e.lo, e.hi, e.w, w_new))
+    return base + mutants
+
+
+def test_is_valid_matches_check_all_random_mutants():
+    # the early-exit walk of is_valid against the full report, on the
+    # builtins and seeded single-edge weight mutants, for every flag value
     outcomes = set()
-    for c in base + mutants:
+    for c in _random_mutant_corpus():
         for eff in (None, True, False):
             passed = check_all(c, eff).passed
             assert is_valid(c, eff) == passed, (c.label, eff)
             outcomes.add(passed)
+    assert outcomes == {True, False}
+
+
+def test_check_all_flip_invariant_random_mutants():
+    # reversing the action maps a valid configuration to a valid one and an
+    # invalid one to an invalid one
+    outcomes = set()
+    for c in _random_mutant_corpus():
+        passed = check_all(c).passed
+        assert check_all(flip(c)).passed == passed, c.label
+        outcomes.add(passed)
     assert outcomes == {True, False}

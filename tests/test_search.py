@@ -54,6 +54,7 @@ def test_spec_validation():
         dict(node_limit=-1),
         dict(require_effective=1),
         dict(prune_gamma="false"),
+        dict(prune_balance=0),
         dict(gaps=(3, 1, 1, 1, 1)),  # not mirror-canonical
         dict(gaps=(1, 1, 1, 1)),
         dict(gaps=(1, 0, 1, 1, 1)),
@@ -70,6 +71,7 @@ def test_spec_validation():
         {"pruningToggles": 3},
         {"gap": [1, 3, 2, 3, 1], "c_1": 3, "pruningToggles": {"gama": False}},
         {"pruningToggles": {"gama": False}},
+        {"pruningToggles": {"balance": "false"}},
     ):
         with pytest.raises(SpecError):
             SearchSpec.from_dict({"maxWeight": 5, "maxWidth": 10, **doc})
@@ -80,6 +82,9 @@ def test_spec_validation():
 
 def test_spec_json_round_trip():
     spec = SearchSpec(5, 12, c1=3, largest_from=((0, 5),), gaps=(1, 3, 2, 3, 1))
+    assert SearchSpec.from_dict(spec.to_dict()) == spec
+    spec = SearchSpec(5, 12, prune_balance=False)
+    assert spec.to_dict()["pruningToggles"]["balance"] is False
     assert SearchSpec.from_dict(spec.to_dict()) == spec
 
 
@@ -92,10 +97,7 @@ def test_pinned_gaps_match_open_search():
         expected = tuple(c for c in open_res.configurations if c.profile.gaps == gaps)
         assert pinned.configurations == expected
         assert bool(expected) == (gaps != (1, 1, 1, 1, 2))
-    assert open_res.stats.to_dict() == {
-        "nodes": 464367,
-        "pruned": {"extremal": 1, "gamma": 385078, "slot": 7642, "final": 33807},
-    }
+    assert open_res.stats.to_dict() == _stats(39562, 1, 126149, 427, 10466, 431)
 
 
 def test_o_weight_system_frozen():
@@ -130,22 +132,25 @@ def test_enumerate_largest_from_c1_filter():
         assert c.profile.gaps == (1, 3, 2, 3, 1)
 
 
-# (nodes, extremal, gamma, slot, final) at (2,6): a pruning change that moves
-# these must update the pin and say why
+# (nodes, extremal, gamma, slot, balance, final) at (2,6): a pruning change
+# that moves these must update the pin and say why
 _STATS_2_6 = {
-    None: (6669, 0, 2477, 151, 857),
-    "divisibility": (30451, 0, 18155, 673, 3862),
-    "extremal": (6669, 0, 2478, 151, 857),
-    "gamma": (478190, 0, 0, 13220, 114095),
+    None: (235, 0, 343, 1, 103, 4),
+    "divisibility": (1708, 0, 2052, 15, 147, 184),
+    "extremal": (235, 0, 344, 1, 103, 4),
+    "gamma": (1769, 0, 0, 20, 1340, 50),
+    "balance": (6669, 0, 3776, 151, 0, 857),
 }
 
 
-def _stats(nodes, extremal, gamma, slot, final):
-    pruned = {"extremal": extremal, "gamma": gamma, "slot": slot, "final": final}
+def _stats(nodes, extremal, gamma, slot, balance, final):
+    pruned = {
+        "extremal": extremal, "gamma": gamma, "slot": slot, "balance": balance, "final": final
+    }
     return {"nodes": nodes, "pruned": pruned}
 
 
-@pytest.mark.parametrize("toggle", ["divisibility", "extremal", "gamma"])
+@pytest.mark.parametrize("toggle", ["divisibility", "extremal", "gamma", "balance"])
 def test_single_toggle_soundness_small(toggle):
     base = enumerate_configurations(SearchSpec(2, 6), workers=1)
     alt = enumerate_configurations(
@@ -189,10 +194,27 @@ def test_toggle_soundness_nonempty_pool():
     assert no_l10.configurations == with_l10.configurations
 
 
+def test_balance_toggle_soundness_nonempty_pool():
+    # the leaf screen alone against the in-DFS balance cuts, on 4 configurations
+    base = enumerate_configurations(SearchSpec(5, 10), workers=1)
+    no_balance = enumerate_configurations(SearchSpec(5, 10, prune_balance=False), workers=1)
+    assert len(base.configurations) == 4
+    assert no_balance.configurations == base.configurations
+    assert no_balance.stats.nodes == 464367  # the walk without in-DFS balance cuts
+    assert no_balance.stats.pruned["balance"] == 0
+
+
 def test_full_brute_force_equivalence_tiny():
     pruned = enumerate_configurations(SearchSpec(1, 6), workers=1)
     brute = enumerate_configurations(
-        SearchSpec(1, 6, prune_divisibility=False, prune_extremal=False, prune_gamma=False),
+        SearchSpec(
+            1,
+            6,
+            prune_divisibility=False,
+            prune_extremal=False,
+            prune_gamma=False,
+            prune_balance=False,
+        ),
         workers=1,
     )
     assert pruned.configurations == brute.configurations
@@ -202,8 +224,8 @@ def test_full_brute_force_equivalence_tiny():
 def test_determinism_across_workers():
     # two filtered searches that emit configurations through the leaf gate
     for spec, stats in (
-        (SearchSpec(5, 8, require_effective=True), (116738, 0, 92172, 1797, 9358)),
-        (SearchSpec(5, 10, largest_from=((0, 5),), c1=3), (106941, 1, 108815, 1622, 4774)),
+        (SearchSpec(5, 8, require_effective=True), (7888, 0, 27150, 44, 2481, 67)),
+        (SearchSpec(5, 10, largest_from=((0, 5),), c1=3), (20853, 1, 71592, 182, 4275, 256)),
     ):
         docs = []
         for workers in (1, 2, 4):
