@@ -3,8 +3,11 @@
 Subcommands: ``check``, ``report``, ``enumerate``, ``verify``, ``examples``,
 ``project-gkm``.  Human-readable tables go to stdout by default; ``--json``
 switches stdout to the machine-readable document (the human output never
-contains information absent from the JSON).  Exit codes: 0 success/PASS,
-1 violations or a failed verification, 2 usage or parse errors.
+contains information absent from the JSON; ``project-gkm`` always prints
+its JSON document).  ``verify`` rejects a flag its theorem does not read,
+and ``check`` rejects ``--effective`` together with ``--no-effective``.
+Exit codes: 0 success/PASS, 1 violations or a failed verification, 2 usage
+or parse errors.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import cohomology
 from .constraints import check_all
@@ -73,12 +77,10 @@ def _violation_table(violations) -> list[str]:
 
 
 def _cmd_check(args) -> int:
+    if args.effective and args.no_effective:
+        raise ParamError("--effective and --no-effective cannot be combined")
     config = _load_config(args.config)
-    effective = None
-    if args.effective:
-        effective = True
-    elif args.no_effective:
-        effective = False
+    effective = True if args.effective else (False if args.no_effective else None)
     report = check_all(config, effective=effective)
     doc = report.to_dict()
     human = [f"configuration: {config.label or args.config}"]
@@ -163,7 +165,9 @@ def _stats_lines(stats) -> list[str]:
 
 def _cmd_enumerate(args) -> int:
     spec = _spec_from_args(args)
+    start = time.monotonic()
     result = enumerate_configurations(spec, workers=args.threads)
+    print(f"wall time: {(time.monotonic() - start) * 1000:.0f} ms", file=sys.stderr)
     doc = result.to_dict()
     human = [
         f"configurations found: {len(result.configurations)}",
@@ -177,27 +181,31 @@ def _cmd_enumerate(args) -> int:
         )
     if args.seed_stats:
         human.extend(_stats_lines(result.stats))
-    print(f"wall time: {result.stats.wall_ms:.0f} ms", file=sys.stderr)
     _emit(doc, human, args.json)
     return 0
 
 
+#: the verifier of each theorem and the ``verify`` flags it reads
+_VERIFIERS = {
+    "thm1": (verify_theorem1, ("max_weight", "max_width")),
+    "thm2": (verify_theorem2, ("max_width",)),
+    "thm3": (verify_theorem3, ()),
+    "thm4": (verify_theorem4, ("a", "c")),
+}
+
+
 def _cmd_verify(args) -> int:
-    if args.theorem == "thm1":
-        report = verify_theorem1(
-            max_width=args.max_width, max_weight=args.max_weight, workers=args.threads
-        )
-    elif args.theorem == "thm2":
-        report = verify_theorem2(max_width=args.max_width, workers=args.threads)
-    elif args.theorem == "thm3":
-        report = verify_theorem3(workers=args.threads)
-    else:
-        if args.a is None or args.c is None:
-            raise ParamError("verify thm4 requires --a and --c")
-        try:
-            report = verify_theorem4(args.a, args.c, workers=args.threads)
-        except ValueError as exc:
-            raise ParamError(str(exc)) from exc
+    verifier, reads = _VERIFIERS[args.theorem]
+    # only the given flags are passed, so the verifiers keep the defaults
+    given = {
+        n: v for n in ("max_weight", "max_width", "a", "c") if (v := getattr(args, n)) is not None
+    }
+    ignored = [f"--{n.replace('_', '-')}" for n in given if n not in reads]
+    if ignored:
+        raise ParamError(f"verify {args.theorem} does not read {', '.join(ignored)}")
+    if args.theorem == "thm4" and len(given) < 2:
+        raise ParamError("verify thm4 requires --a and --c")
+    report = verifier(workers=args.threads, **given)
     doc = report.to_dict()
     human = [f"{report.name}: {'PASS' if report.passed else 'FAIL'}", report.summary]
     if args.seed_stats:
@@ -283,11 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(func=_cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="run a classification verifier")
-    p_verify.add_argument("theorem", choices=("thm1", "thm2", "thm3", "thm4"))
-    p_verify.add_argument("--max-weight", type=int, default=4)
-    p_verify.add_argument("--max-width", type=int, default=40)
-    p_verify.add_argument("--a", type=int, default=None)
-    p_verify.add_argument("--c", type=int, default=None)
+    p_verify.add_argument("theorem", choices=tuple(_VERIFIERS))
+    p_verify.add_argument("--max-weight", type=int, default=None, help="thm1 only")
+    p_verify.add_argument("--max-width", type=int, default=None, help="thm1 and thm2")
+    p_verify.add_argument("--a", type=int, default=None, help="thm4 only")
+    p_verify.add_argument("--c", type=int, default=None, help="thm4 only")
     p_verify.add_argument("--threads", type=int, default=None)
     p_verify.add_argument("--seed-stats", action="store_true")
     p_verify.add_argument("--json", action="store_true")
@@ -303,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         "project-gkm", help="project the builtin torus moment graph to a circle"
     )
     p_gkm.add_argument("--xi", default="1,2", metavar="X,Y")
-    p_gkm.add_argument("--json", action="store_true")
     p_gkm.set_defaults(func=_cmd_project_gkm)
 
     return parser

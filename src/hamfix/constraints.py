@@ -28,6 +28,7 @@ from .model import (
     Configuration,
     IsotropyComponent,
     WeightSystem,
+    _has_edge,
     derive_weight_system,
     isotropy_components,
     isotropy_orders,
@@ -220,7 +221,7 @@ def _comp_balance_args(comp: IsotropyComponent):
 def _iter_extremal(c: Configuration):
     gaps = c.profile.gaps
     for lo, hi, g in ((0, 1, gaps[0]), (N_POINTS - 2, N_POINTS - 1, gaps[-1])):
-        if not any(e.lo == lo and e.hi == hi and e.w == g for e in c.edges):
+        if not _has_edge(c, lo, hi, g):
             yield Violation(
                 "ExtremalEdge",
                 vertices=(lo, hi),

@@ -322,6 +322,11 @@ def canonicalize(c: Configuration) -> Configuration:
     return c if sort_key(c) <= sort_key(f) else f
 
 
+def _has_edge(c: Configuration, lo: int, hi: int, w: int) -> bool:
+    """Whether ``c`` has an edge of weight ``w`` between vertices ``lo`` < ``hi``."""
+    return any(e.lo == lo and e.hi == hi and e.w == w for e in c.edges)
+
+
 # ---------------------------------------------------------------------------
 # JSON serialization
 #

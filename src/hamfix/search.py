@@ -18,9 +18,9 @@ downward slots, and the weight bounds of the cells still open at its two
 vertices, so the nested ``dfs`` closure reads everything it needs at a cell
 from one entry and keeps its slot and weight-sum state in local lists.  A
 complete leaf goes to ``_leaf``, a pure gate that returns the configuration
-or ``None``; ``_search_gap`` alone counts rejected leaves and applies the
-mirror rule.  Four pruning rules can be toggled off independently, in
-which case the same final set is produced by brute force:
+or ``None``; ``_search_gap`` counts the rejected leaves and sends every
+accepted one to the sink.  Four pruning rules can be toggled off
+independently, in which case the same final set is produced by brute force:
 
 * ``divisibility`` -- restrict cell weights to divisors of the moment gap;
 * ``extremal``      -- force the two extremal edges to carry the full gap;
@@ -31,19 +31,21 @@ which case the same final set is produced by brute force:
                       leaving vertex i as entering vertex i + 1 (with it
                       off, the same balance is screened at the leaf).
 
-Only mirror-canonical configurations are emitted (the reversed action gives
-an equivalent configuration); results are sorted, so output is deterministic
-and independent of the worker count.
+The reversed action gives an equivalent configuration, so one member of
+each mirror pair is kept: only mirror-canonical gap vectors are walked, and
+mirror pairs merge through ``model.canonicalize``, keeping a leaf only if it
+is its own canonical form (a palindromic gap vector walks both members).
+Results are sorted, so output is deterministic and independent of the
+worker count.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from . import cohomology
 from .constraints import C1_MAX, C1_MIN, compute_c1, is_valid
@@ -54,19 +56,16 @@ from .model import (
     Configuration,
     MomentProfile,
     WeightEdge,
+    _has_edge,
     _is_int,
+    canonicalize,
     config_to_dict,
     derive_weight_system,
-    flip,
     sort_key,
 )
 
 PRUNE_RULES = ("extremal", "gamma", "slot", "balance", "final")
 _TOGGLES = ("divisibility", "extremal", "gamma", "balance")
-_SPEC_KEYS = (
-    "maxWeight", "maxWidth", "c1", "largestFrom", "requireEffective", "gaps",
-    "pruningToggles", "nodeLimit",
-)
 
 
 class BudgetExceeded(RuntimeError):
@@ -74,7 +73,7 @@ class BudgetExceeded(RuntimeError):
 
 
 class SpecError(ValueError):
-    """Search bounds, filters or the worker count are out of range."""
+    """Search bounds, filters, theorem parameters or the worker count are out of range."""
 
 
 @dataclass(frozen=True)
@@ -148,19 +147,22 @@ class SearchSpec:
         missing = sorted({"maxWeight", "maxWidth"} - d.keys())
         if missing:
             raise SpecError(f"search spec lacks {', '.join(missing)}")
-        unknown = [repr(k) for k in d if k not in _SPEC_KEYS]
-        unknown += [f"pruningToggles.{k!r}" for k in toggles if k not in _TOGGLES]
+        defaults = cls(1, DIM).to_dict()  # every key to_dict writes
+        unknown = [repr(k) for k in d if k not in defaults]
+        unknown += [f"pruningToggles.{k!r}" for k in toggles if k not in defaults["pruningToggles"]]
         if unknown:
             raise SpecError(f"unknown search spec keys: {', '.join(unknown)}")
+        d = {**defaults, **d}
+        toggles = {**defaults["pruningToggles"], **toggles}
         return cls(
             max_weight=d["maxWeight"],
             max_width=d["maxWidth"],
-            c1=d.get("c1"),
-            largest_from=d.get("largestFrom", ()),
-            require_effective=d.get("requireEffective", False),
-            gaps=d.get("gaps"),
-            node_limit=d.get("nodeLimit"),
-            **{f"prune_{rule}": toggles.get(rule, True) for rule in _TOGGLES},
+            c1=d["c1"],
+            largest_from=d["largestFrom"],
+            require_effective=d["requireEffective"],
+            gaps=d["gaps"],
+            node_limit=d["nodeLimit"],
+            **{f"prune_{rule}": toggles[rule] for rule in _TOGGLES},
         )
 
 
@@ -168,7 +170,6 @@ class SearchSpec:
 class SearchStats:
     nodes: int = 0
     pruned: dict = field(default_factory=lambda: {r: 0 for r in PRUNE_RULES})
-    wall_ms: float = 0.0
 
     def merge(self, other: "SearchStats") -> None:
         self.nodes += other.nodes
@@ -204,17 +205,10 @@ def _gap_vectors(spec: SearchSpec) -> list[tuple[int, ...]]:
     """The pinned gap vector, or every mirror-canonical one within the width bound."""
     if spec.gaps is not None:
         return [spec.gaps]
-    out = []
-    maxw = spec.max_width
-    for g1 in range(1, maxw - 3):
-        for g2 in range(1, maxw - g1 - 2):
-            for g3 in range(1, maxw - g1 - g2 - 1):
-                for g4 in range(1, maxw - g1 - g2 - g3):
-                    for g5 in range(1, maxw - g1 - g2 - g3 - g4 + 1):
-                        g = (g1, g2, g3, g4, g5)
-                        if g <= g[::-1]:
-                            out.append(g)
-    return out
+    # cut points a < b < c < d < e give every gap vector, in lexicographic order
+    cuts = combinations(range(1, spec.max_width + 1), DIM)
+    gaps = ((a, b - a, c - b, d - c, e - d) for a, b, c, d, e in cuts)
+    return [g for g in gaps if g <= g[::-1]]
 
 
 def _divisors_leq(n: int, bound: int) -> tuple[int, ...]:
@@ -230,7 +224,7 @@ def _gamma_targets(spec: SearchSpec, phi: tuple[int, ...]) -> list[tuple[int, ..
     """
     sum_phi = sum(phi)
     maxw = spec.max_weight
-    ks = (spec.c1,) if spec.c1 is not None else tuple(range(1, N_POINTS + 1))
+    ks = (spec.c1,) if spec.c1 is not None else range(C1_MIN, C1_MAX + 1)
     out = []
     g1, g5 = phi[1] - phi[0], phi[5] - phi[4]
     for k in ks:
@@ -366,12 +360,11 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
     if not balance:
         floors = (1,)
     elif spec.prune_extremal:
-        floors = range(1, min(gaps[0], gaps[4], maxw) + 1)
+        floors = range(1, min(gaps[0], gaps[4]) + 1)
     else:
         floors = range(1, maxw + 1)
     n_cells = len(PAIRS)
     limit = spec.node_limit
-    mirror = gaps == gaps[::-1]
     up = [DIM - v for v in range(N_POINTS)]
     down = list(range(N_POINTS))
     psum = [0] * N_POINTS
@@ -384,8 +377,8 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
             config = _leaf(spec, profile, acc)
             if config is None:
                 pruned["final"] += 1
-            elif not (mirror and sort_key(config) > sort_key(flip(config))):
-                sink.append(config)  # else the mirror image is kept instead
+            else:
+                sink.append(config)
             return
         i, j, allowed, last_up, last_down, row_rest, up_j, down_rest = plan[ci]
         if last_up and last_down:
@@ -520,12 +513,11 @@ def _search_chunk(spec: SearchSpec, gap_chunk) -> tuple[list[Configuration], Sea
 def enumerate_configurations(spec: SearchSpec, workers: int | None = None) -> SearchResult:
     """All canonical configurations within the given bounds passing every check.
 
-    Deterministic: the result (including statistics other than wall time) is
-    byte-identical across worker counts, and ``BudgetExceeded`` is raised
-    exactly when the total node count exceeds ``spec.node_limit``; a worker
-    pool stops as soon as the chunks merged so far exceed it.
+    Deterministic: the result, statistics included, is byte-identical
+    across worker counts, and ``BudgetExceeded`` is raised exactly when the
+    total node count exceeds ``spec.node_limit``; a worker pool stops as
+    soon as the chunks merged so far exceed it.
     """
-    start = time.monotonic()
     gaps = _gap_vectors(spec)
     if workers is None:
         env = os.environ.get("HAMFIX_THREADS")
@@ -556,8 +548,7 @@ def enumerate_configurations(spec: SearchSpec, workers: int | None = None) -> Se
             except BudgetExceeded:
                 pool.shutdown(cancel_futures=True)
                 raise
-    configs = sorted(set(configs), key=sort_key)
-    stats.wall_ms = (time.monotonic() - start) * 1000.0
+    configs = sorted({c for c in configs if canonicalize(c) == c}, key=sort_key)
     return SearchResult(spec, tuple(configs), stats)
 
 
@@ -636,10 +627,6 @@ def verify_theorem1(
         },
         res.stats,
     )
-
-
-def _has_edge(config: Configuration, lo: int, hi: int, w: int) -> bool:
-    return any(e.lo == lo and e.hi == hi and e.w == w for e in config.edges)
 
 
 def verify_theorem2(max_width: int = 40, workers: int | None = None) -> TheoremReport:
@@ -770,15 +757,15 @@ def verify_theorem4(a: int, c: int, workers: int | None = None) -> TheoremReport
     vector; only the largest-weight hypothesis is read off its result.
     """
     if not (_is_int(a) and _is_int(c)):
-        raise ValueError(f"a and c must be integers, got a={a!r}, c={c!r}")
+        raise SpecError(f"a and c must be integers, got a={a!r}, c={c!r}")
     if a < 1 or c < 1:
-        raise ValueError("a and c must be positive integers")
+        raise SpecError("a and c must be positive integers")
     if c % 3 != 0:
-        raise ValueError(f"c must be divisible by 3, got {c}")
+        raise SpecError(f"c must be divisible by 3, got {c}")
     from math import gcd
 
     if gcd(a, c // 3) != 1:
-        raise ValueError(
+        raise SpecError(
             f"the predicted weights have gcd {gcd(a, c // 3)} > 1; "
             "the action would not be effective"
         )

@@ -55,6 +55,17 @@ def test_check_parse_error(tmp_path, capsys):
     assert main(["check", str(missing)]) == 2
 
 
+def test_check_conflicting_effective_flags(o_file, capsys):
+    for flags in ([], ["--effective"], ["--no-effective"]):
+        assert main(["check", o_file, *flags]) == 0
+    capsys.readouterr()
+    assert main(["check", o_file, "--effective", "--no-effective"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_report_json(o_file, capsys):
     assert main(["report", o_file, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -187,6 +198,12 @@ def test_console_script_entry_point(o_file):
         ["enumerate", "--max-weight", "5", "--max-width", "10", "--gaps", "1,1,1,1"],
         ["enumerate", "--max-weight", "5", "--max-width", "9", "--gaps", "1,3,2,3,1"],
         ["project-gkm", "--xi", "x,1"],
+        ["verify", "thm3", "--max-weight", "7", "--max-width", "3", "--a", "9"],
+        ["verify", "thm2", "--max-weight", "9"],
+        ["verify", "thm1", "--c", "3"],
+        ["verify", "thm4", "--a", "1", "--c", "3", "--max-width", "10"],
+        ["verify", "thm4", "--a", "1"],
+        ["verify", "thm4", "--a", "1", "--c", "4"],
     ],
 )
 def test_argument_errors_exit_2_with_one_line(argv, capsys):

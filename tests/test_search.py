@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
@@ -15,14 +16,15 @@ from hamfix import (
     derive_weight_system,
     enumerate_configurations,
     flip,
+    search,
     theorem4_weight_system,
     verify_theorem1,
     verify_theorem3,
     verify_theorem4,
 )
 from hamfix.constraints import _iter_balance
-from hamfix.model import DIM, N_POINTS, PAIRS, WeightEdge, sort_key
-from hamfix.search import _leaf_balanced, o_weight_system
+from hamfix.model import DIM, N_POINTS, PAIRS, Configuration, WeightEdge, canonicalize, sort_key
+from hamfix.search import SearchStats, _gap_vectors, _leaf_balanced, o_weight_system
 
 O_WS = (
     (1, 2, 3, 4, 5),
@@ -98,6 +100,29 @@ def test_pinned_gaps_match_open_search():
         assert pinned.configurations == expected
         assert bool(expected) == (gaps != (1, 1, 1, 1, 2))
     assert open_res.stats.to_dict() == _stats(39562, 1, 126149, 427, 10466, 431)
+
+
+def test_gap_vectors_match_brute_force():
+    for width in range(5, 13):
+        expected = [
+            g
+            for g in itertools.product(range(1, width + 1), repeat=5)
+            if sum(g) <= width and g <= g[::-1]
+        ]
+        assert _gap_vectors(SearchSpec(1, width)) == expected, width
+    assert len(_gap_vectors(SearchSpec(1, 40))) == 330144
+
+
+def test_merge_keeps_one_of_each_mirror_pair(monkeypatch):
+    # a palindromic gap vector walks both members of a mirror pair; a lone
+    # non-canonical leaf is dropped, not replaced by a flip the gate did not accept
+    cp5 = builtin("cp5", 1, 1, 1, 1, 1)
+    edges = (WeightEdge(0, 1, 7),) + cp5.edges[1:]
+    c = Configuration(cp5.profile, edges, label=cp5.label, effective=cp5.effective)
+    assert c.profile.gaps == (1, 1, 1, 1, 1) and c != flip(c)
+    for leaves, kept in (([c, flip(c)], (canonicalize(c),)), ([c], ())):
+        monkeypatch.setattr(search, "_search_chunk", lambda spec, gaps: (leaves, SearchStats()))
+        assert enumerate_configurations(SearchSpec(5, 5), workers=1).configurations == kept
 
 
 def test_o_weight_system_frozen():
@@ -192,6 +217,11 @@ def test_toggle_soundness_nonempty_pool():
     no_l10 = enumerate_configurations(SearchSpec(5, 6, prune_extremal=False), workers=1)
     with_l10 = enumerate_configurations(SearchSpec(5, 6), workers=1)
     assert no_l10.configurations == with_l10.configurations
+    pin = (1, 3, 2, 3, 1)
+    pinned = enumerate_configurations(SearchSpec(5, 10, gaps=pin), workers=1)
+    assert len(pinned.configurations) == 2
+    no_gamma = enumerate_configurations(SearchSpec(5, 10, gaps=pin, prune_gamma=False), workers=1)
+    assert no_gamma.configurations == pinned.configurations
 
 
 def test_balance_toggle_soundness_nonempty_pool():
