@@ -7,7 +7,7 @@ contains information absent from the JSON; ``project-gkm`` always prints
 its JSON document).  ``verify`` rejects a flag its theorem does not read,
 and ``check`` rejects ``--effective`` together with ``--no-effective``.
 Exit codes: 0 success/PASS, 1 violations or a failed verification, 2 usage
-or parse errors.
+or parse errors, each reported as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -241,8 +241,16 @@ def _cmd_project_gkm(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one stderr line and exit 2;
+    its subparsers are built from the same class."""
+
+    def error(self, message: str):
+        self.exit(_USAGE_EXIT, f"error: {message} (see {self.prog} --help)\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hamfix",
         description=(
             "Exact verifier, invariant calculator and classifier for "

@@ -37,6 +37,15 @@ mirror pairs merge through ``model.canonicalize``, keeping a leaf only if it
 is its own canonical form (a palindromic gap vector walks both members).
 Results are sorted, so output is deterministic and independent of the
 worker count.
+
+The verifiers of theorems 1-3 share one pool per process: ``_pool`` keeps
+each open search they run, keyed by its ``SearchSpec`` (the worker count is
+left out), so ``thm1`` at weight 5, ``thm2`` and ``thm3`` search (5, width)
+once and each reads its subset off the result; ``thm4``'s pinned searches
+run directly.  A verifier's ``statistics`` therefore describe the shared
+search: ``thm3`` reports the whole (5, 10) search, not one filtered to a
+largest weight on (0, 5).  ``enumerate_configurations`` itself is never
+cached.
 """
 
 from __future__ import annotations
@@ -510,15 +519,9 @@ def _search_chunk(spec: SearchSpec, gap_chunk) -> tuple[list[Configuration], Sea
     return sink, stats
 
 
-def enumerate_configurations(spec: SearchSpec, workers: int | None = None) -> SearchResult:
-    """All canonical configurations within the given bounds passing every check.
-
-    Deterministic: the result, statistics included, is byte-identical
-    across worker counts, and ``BudgetExceeded`` is raised exactly when the
-    total node count exceeds ``spec.node_limit``; a worker pool stops as
-    soon as the chunks merged so far exceed it.
-    """
-    gaps = _gap_vectors(spec)
+def _worker_count(workers: int | None) -> int:
+    """``workers``, or ``HAMFIX_THREADS``, or every core; ``SpecError`` unless
+    that is an integer of at least 1."""
     if workers is None:
         env = os.environ.get("HAMFIX_THREADS")
         try:
@@ -527,9 +530,22 @@ def enumerate_configurations(spec: SearchSpec, workers: int | None = None) -> Se
             raise SpecError(f"HAMFIX_THREADS must be an integer, got {env!r}") from None
         if workers < 1:
             raise SpecError(f"HAMFIX_THREADS must be at least 1, got {env!r}")
-    elif workers < 1:
-        raise SpecError(f"worker count must be at least 1, got {workers}")
-    workers = min(workers, len(gaps) or 1)
+    elif not _is_int(workers) or workers < 1:
+        raise SpecError(f"worker count must be an integer of at least 1, got {workers!r}")
+    return workers
+
+
+def enumerate_configurations(spec: SearchSpec, workers: int | None = None) -> SearchResult:
+    """All canonical configurations within the given bounds passing every check.
+
+    Deterministic: the result, statistics included, is byte-identical
+    across worker counts, and ``BudgetExceeded`` is raised exactly when the
+    total node count exceeds ``spec.node_limit``; a worker pool stops as
+    soon as the chunks merged so far exceed it.  Never cached: each call
+    searches.
+    """
+    gaps = _gap_vectors(spec)
+    workers = min(_worker_count(workers), len(gaps) or 1)
     if workers == 1:
         configs, stats = _search_chunk(spec, gaps)
     else:
@@ -554,6 +570,23 @@ def enumerate_configurations(spec: SearchSpec, workers: int | None = None) -> Se
 
 # ---------------------------------------------------------------------------
 # theorem-level verifiers
+
+#: the exhaustive searches the verifiers share, one per spec for the process
+_POOL: dict[SearchSpec, SearchResult] = {}
+
+
+def _pool(spec: SearchSpec, workers: int | None) -> SearchResult:
+    """``enumerate_configurations(spec)``, searched once per process.
+
+    The key leaves out the worker count, which never changes a result; the
+    count is still checked on every call, so a cached spec rejects it too.
+    Every verifier of the spec gets the same result object, to read only.
+    """
+    workers = _worker_count(workers)
+    res = _POOL.get(spec)
+    if res is None:
+        res = _POOL[spec] = enumerate_configurations(spec, workers=workers)
+    return res
 
 
 @dataclass
@@ -596,7 +629,7 @@ def verify_theorem1(
     the run demonstrates sharpness instead: the search is nonempty and
     contains the coadjoint-orbit weight system.
     """
-    res = enumerate_configurations(SearchSpec(max_weight, max_width), workers=workers)
+    res = _pool(SearchSpec(max_weight, max_width), workers)
     systems = res.weight_systems()
     if max_weight <= 4:
         passed = not res.configurations
@@ -639,7 +672,7 @@ def verify_theorem2(max_width: int = 40, workers: int | None = None) -> TheoremR
     gaps, with mirror-equal extremal gaps.  Members carry |5| exactly once
     at each endpoint.
     """
-    res = enumerate_configurations(SearchSpec(5, max_width), workers=workers)
+    res = _pool(SearchSpec(5, max_width), workers)
     pool = [c for c in res.configurations if c.max_weight() == 5]
     set1, set2, set3 = [], [], []
     pool_c1 = [compute_c1(c) for c in pool]
@@ -697,14 +730,15 @@ def verify_theorem3(workers: int | None = None) -> TheoremReport:
     extremes and width 10, exactly one weight system survives: the
     coadjoint-orbit one, with gaps (1, 3, 2, 3, 1), one weight between any
     pair of points, and ring multipliers (1, 1, 1/3, 1/6, 1/18, 1/18).
+    The members are read off the shared (5, 10) pool; the (0, 5) edge is
+    its own mirror image, so the canonical members are those a search
+    filtered to it would keep.
     """
-    res = enumerate_configurations(
-        SearchSpec(5, 10, largest_from=((0, 5),)), workers=workers
-    )
+    res = _pool(SearchSpec(5, 10), workers)
     sel = [
         c
         for c in res.configurations
-        if c.profile.width == 10 and c.max_weight() == 5
+        if c.profile.width == 10 and c.max_weight() == 5 and _has_edge(c, 0, 5, 5)
     ]
     systems = _weight_systems(sel)
     data: dict = {"configurations": len(sel), "weight_systems": len(systems)}

@@ -215,6 +215,34 @@ def test_argument_errors_exit_2_with_one_line(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--max-weight", "x", "--max-width", "5"],
+        ["project-gkm", "--json"],
+        ["verify", "thm9"],
+        ["enumerate", "--max-width", "5"],
+    ],
+)
+def test_parser_usage_errors_are_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_help_is_unaffected(capsys):
+    for argv in (["--help"], ["enumerate", "--help"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: hamfix") and captured.err == ""
+
+
+@pytest.mark.parametrize(
     "value, message",
     [("abc", "must be an integer, got 'abc'"), ("0", "must be at least 1, got '0'")],
     ids=["abc", "0"],

@@ -19,11 +19,21 @@ from hamfix import (
     search,
     theorem4_weight_system,
     verify_theorem1,
+    verify_theorem2,
     verify_theorem3,
     verify_theorem4,
 )
 from hamfix.constraints import _iter_balance
-from hamfix.model import DIM, N_POINTS, PAIRS, Configuration, WeightEdge, canonicalize, sort_key
+from hamfix.model import (
+    DIM,
+    N_POINTS,
+    PAIRS,
+    Configuration,
+    WeightEdge,
+    _has_edge,
+    canonicalize,
+    sort_key,
+)
 from hamfix.search import SearchStats, _gap_vectors, _leaf_balanced, o_weight_system
 
 O_WS = (
@@ -334,3 +344,61 @@ def test_verify_theorem3_report_shape():
     assert report.data["ring_q"] == ["1", "1", "1/3", "1/6", "1/18", "1/18"]
     doc = report.to_dict()
     assert doc["name"] == "thm3" and doc["passed"] is True
+
+
+@pytest.fixture()
+def cold_pool(monkeypatch):
+    """An empty verifier pool for the test, restored afterwards."""
+    monkeypatch.setattr(search, "_POOL", {})
+
+
+def test_theorem3_reads_the_filtered_search_off_the_pool(cold_pool, monkeypatch):
+    # slow reference: the search filtered to a largest weight on (0, 5)
+    ref = enumerate_configurations(SearchSpec(5, 10, largest_from=((0, 5),)), workers=1)
+    report = verify_theorem3(workers=1)
+    pool = search._POOL[SearchSpec(5, 10)]
+    # the (0, 5) filter is its own mirror image, so selecting it off the pool
+    # keeps the canonical members the filtered search keeps (3 of 4)
+    got = [c for c in pool.configurations if c.max_weight() == 5 and _has_edge(c, 0, 5, 5)]
+    expected = [c for c in ref.configurations if c.max_weight() == 5]
+    assert len(got) == 3 < len(pool.configurations) and got == expected
+    monkeypatch.setattr(search, "_POOL", {SearchSpec(5, 10): ref})
+    assert verify_theorem3(workers=1).data == report.data
+
+
+def test_verifiers_share_one_search(cold_pool, monkeypatch):
+    calls = []
+    real = search.enumerate_configurations
+
+    def counted(spec, workers=None):
+        calls.append(spec)
+        return real(spec, workers=workers)
+
+    monkeypatch.setattr(search, "enumerate_configurations", counted)
+    reports = [verify_theorem1(10, 5, workers=1), verify_theorem2(10, workers=1)]
+    reports.append(verify_theorem3(workers=1))
+    assert all(r.passed for r in reports)
+    assert calls == [SearchSpec(5, 10)]
+    assert reports[2].stats.to_dict() == _stats(39562, 1, 126149, 427, 10466, 431)
+
+
+def test_verifier_output_independent_of_workers(monkeypatch):
+    docs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(search, "_POOL", {})  # a warm pool would compare one search
+        docs.append(json.dumps(verify_theorem2(10, workers=workers).to_dict(), sort_keys=True))
+    assert docs[0] == docs[1]
+
+
+def test_warm_pool_still_rejects_bad_worker_counts(cold_pool, monkeypatch):
+    assert verify_theorem2(max_width=10, workers=1).passed
+    for workers in (0, -3, 1.5, True):
+        with pytest.raises(SpecError):
+            verify_theorem2(max_width=10, workers=workers)
+    for env in ("0", "abc"):
+        monkeypatch.setenv("HAMFIX_THREADS", env)
+        with pytest.raises(SpecError):
+            verify_theorem2(max_width=10)
+    for width in (10.0, True):
+        with pytest.raises(SpecError):
+            verify_theorem2(max_width=width, workers=1)
