@@ -130,17 +130,18 @@ def _ring_presentation(c: Configuration, ws: WeightSystem) -> RingPresentation:
         denom = 1
         for j in range(i):
             denom *= phi[j] - phi[i]
-        qi = Fraction(ws.lam_minus[i], denom)
-        ai = 1 / qi
-        if ai.denominator != 1:
+        lam_minus = ws.lam_minus[i]
+        if denom % lam_minus:
             raise IntegralityError(
-                f"generator multiplier at vertex {i} is {qi}; its inverse "
-                f"{ai} is not an integer"
+                f"generator multiplier at vertex {i} is {Fraction(lam_minus, denom)}; "
+                f"its inverse {Fraction(denom, lam_minus)} is not an integer"
             )
-        q.append(qi)
-        a.append(int(ai))
+        ai = denom // lam_minus
+        q.append(Fraction(1, ai))
+        a.append(ai)
     for i in range(N_POINTS):
-        if q[i] * q[N_POINTS - 1 - i] != q[N_POINTS - 1]:
+        # q_i = 1 / a_i, so q_i q_{5-i} = q_5 exactly when a_i a_{5-i} = a_5
+        if a[i] * a[N_POINTS - 1 - i] != a[N_POINTS - 1]:
             raise DualityError(
                 f"duality fails: q_{i} * q_{N_POINTS - 1 - i} = "
                 f"{q[i] * q[N_POINTS - 1 - i]} != q_{N_POINTS - 1} = {q[N_POINTS - 1]}"

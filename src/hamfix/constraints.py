@@ -8,8 +8,10 @@ render them as reports.
 
 Component-level checks (mod-k weight congruence, smallest-weight balance,
 index/Betti regularity) are applied to subgraph components of edges with
-``k | w``; balance and regularity beyond dimension-constancy are restricted
-to *saturated* components, the ones that model a full isotropy submanifold.
+``k | w``.  Every such component holds every ``k``-divisible weight of its
+vertices (see :class:`~hamfix.model.IsotropyComponent`), so it models a full
+isotropy submanifold; balance and regularity beyond dimension-constancy need
+only that its vertices have equally many such weights.
 
 One ordered walk over the rules yields the violations:
 :func:`check_all` collects all of them into a report, and :func:`is_valid`
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .model import (
     DIM,
@@ -29,6 +32,7 @@ from .model import (
     IsotropyComponent,
     WeightSystem,
     _has_edge,
+    _unfold,
     derive_weight_system,
     isotropy_components,
     isotropy_orders,
@@ -63,6 +67,9 @@ class Violation:
         }
 
 
+_ORDER = attrgetter("rule", "vertices", "edges", "detail")
+
+
 @dataclass(frozen=True)
 class CheckReport:
     passed: bool
@@ -93,12 +100,13 @@ def _iter_divisibility(c: Configuration, ws: WeightSystem):
                 detail=f"weight {e.w} does not divide moment gap {gap}",
             )
     for v in range(N_POINTS):
+        down = [phi[v] - phi[q] for q in range(v)]
+        up = [phi[q] - phi[v] for q in range(v + 1, N_POINTS)]
         for w in set(ws.weights[v]):
-            if w < 0:
-                ok = any((phi[v] - phi[q]) % (-w) == 0 for q in range(v))
+            for gap in (down if w < 0 else up):
+                if gap % w == 0:
+                    break
             else:
-                ok = any((phi[q] - phi[v]) % w == 0 for q in range(v + 1, N_POINTS))
-            if not ok:
                 side = "lower" if w < 0 else "higher"
                 yield Violation(
                     "Divisibility",
@@ -108,7 +116,7 @@ def _iter_divisibility(c: Configuration, ws: WeightSystem):
 
 
 def _residues(weights, k: int) -> tuple[int, ...]:
-    return tuple(sorted(w % k for w in weights))
+    return tuple(sorted([w % k for w in weights]))
 
 
 def _iter_mod(ws: WeightSystem, comp: IsotropyComponent):
@@ -144,11 +152,11 @@ def _iter_balance(edges, lam_of, dim: int, k: int | None, vertices):
             lo, hi = lam_of(e.lo), lam_of(e.hi)
             plus[lo] = plus.get(lo, 0) + e.mult
             minus[hi] = minus.get(hi, 0) + e.mult
-    scope = "globally" if k is None else f"in the k={k} component {vertices}"
     for m in range(dim):
         np_ = plus.get(m, 0)
         nm = minus.get(m + 1, 0)
         if np_ != nm:
+            scope = "globally" if k is None else f"in the k={k} component {vertices}"
             yield Violation(
                 "SmallestWeightBalance",
                 vertices=tuple(vertices),
@@ -159,19 +167,20 @@ def _iter_balance(edges, lam_of, dim: int, k: int | None, vertices):
             )
 
 
+def _where(comp: IsotropyComponent) -> str:
+    return f"k={comp.k} component {comp.vertices}"
+
+
 def _iter_regularity(comp: IsotropyComponent):
-    where = f"k={comp.k} component {comp.vertices}"
     if len(set(comp.divisible_count)) != 1:
         yield Violation(
             "ComponentRegularity",
             vertices=comp.vertices,
             detail=(
-                f"{where}: divisible-weight counts {comp.divisible_count} "
+                f"{_where(comp)}: divisible-weight counts {comp.divisible_count} "
                 "are not constant"
             ),
         )
-        return
-    if not comp.saturated:
         return
     d = comp.divisible_count[0]
     levels = [0] * (d + 1)
@@ -181,21 +190,21 @@ def _iter_regularity(comp: IsotropyComponent):
         yield Violation(
             "ComponentRegularity",
             vertices=comp.vertices,
-            detail=f"{where}: expected unique minimum and maximum, levels {levels}",
+            detail=f"{_where(comp)}: expected unique minimum and maximum, levels {levels}",
         )
     for m in range(d + 1):
         if levels[m] == 0:
             yield Violation(
                 "ComponentRegularity",
                 vertices=comp.vertices,
-                detail=f"{where}: no vertex at index level {m} of {d}",
+                detail=f"{_where(comp)}: no vertex at index level {m} of {d}",
             )
         if levels[m] != levels[d - m]:
             yield Violation(
                 "ComponentRegularity",
                 vertices=comp.vertices,
                 detail=(
-                    f"{where}: index level counts {levels} are not "
+                    f"{_where(comp)}: index level counts {levels} are not "
                     "symmetric under duality"
                 ),
             )
@@ -205,17 +214,10 @@ def _iter_regularity(comp: IsotropyComponent):
                 "IndexBound",
                 vertices=(v,),
                 detail=(
-                    f"{where}: vertex {v} has index level {lam} with only "
+                    f"{_where(comp)}: vertex {v} has index level {lam} with only "
                     f"{p} lower vertices in the component"
                 ),
             )
-
-
-def _comp_balance_args(comp: IsotropyComponent):
-    if not comp.saturated or len(set(comp.divisible_count)) != 1:
-        return None
-    lam = dict(zip(comp.vertices, comp.within_down))
-    return comp.edges, lam.__getitem__, comp.divisible_count[0], comp.k, comp.vertices
 
 
 def _iter_extremal(c: Configuration):
@@ -230,31 +232,28 @@ def _iter_extremal(c: Configuration):
 
 
 def _c1_of(c: Configuration, ws: WeightSystem) -> int | Violation:
-    phi = c.profile.values
-    k = None
-    first_pair = None
-    for i, j in PAIRS:
-        kij = Fraction(ws.gamma[i] - ws.gamma[j], phi[j] - phi[i])
-        if k is None:
-            k = kij
-            first_pair = (i, j)
-        elif kij != k:
+    phi, gamma = c.profile.values, ws.gamma
+    # the ratio of pair (0, 1) is n0 / d0; moment gaps d are positive
+    first_pair = PAIRS[0]
+    n0, d0 = gamma[0] - gamma[1], phi[1] - phi[0]
+    for i, j in PAIRS[1:]:
+        n, d = gamma[i] - gamma[j], phi[j] - phi[i]
+        if n * d0 != n0 * d:
             return Violation(
                 "C1Consistency",
                 vertices=(i, j),
                 detail=(
-                    f"pair ({i},{j}) gives weight-sum ratio {kij}, "
-                    f"pair {first_pair} gives {k}"
+                    f"pair ({i},{j}) gives weight-sum ratio {Fraction(n, d)}, "
+                    f"pair {first_pair} gives {Fraction(n0, d0)}"
                 ),
             )
-    assert k is not None
-    if k.denominator != 1:
+    if n0 % d0:
         return Violation(
             "C1Consistency",
             vertices=first_pair,
-            detail=f"weight-sum ratio {k} is not an integer",
+            detail=f"weight-sum ratio {Fraction(n0, d0)} is not an integer",
         )
-    kval = int(k)
+    kval = n0 // d0
     if not C1_MIN <= kval <= C1_MAX:
         return Violation(
             "C1Consistency",
@@ -312,9 +311,10 @@ def _walk(c: Configuration, effective: bool | None):
 
     The order is structure, extremal edges, c1, divisibility, global
     balance, then per isotropy component regularity, balance and mod-k,
-    then the gamma relation and effectiveness.  The weight system is
-    derived once, and only after structure and the extremal edges are
-    walked.  Returns the first-Chern multiple, or ``None`` when undefined.
+    then the gamma relation and effectiveness.  Structure is checked once,
+    and the weight system is unfolded once, after structure and the
+    extremal edges are walked.  Returns the first-Chern multiple, or
+    ``None`` when undefined.
     """
     problems = structure_problems(c)
     if problems:
@@ -322,7 +322,7 @@ def _walk(c: Configuration, effective: bool | None):
             yield Violation("Structure", vertices=tuple(range(N_POINTS)), detail=p)
         return None
     yield from _iter_extremal(c)
-    ws = derive_weight_system(c)
+    ws = _unfold(c)
     c1 = _c1_of(c, ws)
     if isinstance(c1, Violation):
         yield c1
@@ -332,9 +332,12 @@ def _walk(c: Configuration, effective: bool | None):
     for k in isotropy_orders(c):
         for comp in isotropy_components(c, k, ws=ws):
             yield from _iter_regularity(comp)
-            args = _comp_balance_args(comp)
-            if args is not None:
-                yield from _iter_balance(*args)
+            counts = comp.divisible_count
+            if len(set(counts)) == 1:
+                lam = dict(zip(comp.vertices, comp.within_down))
+                yield from _iter_balance(
+                    comp.edges, lam.__getitem__, counts[0], k, comp.vertices
+                )
             yield from _iter_mod(ws, comp)
     if c1 is not None:
         yield from _iter_gamma_relation(c, ws, c1)
@@ -367,7 +370,8 @@ def check_all(c: Configuration, effective: bool | None = None) -> CheckReport:
         except StopIteration as done:
             c1 = done.value
             break
-    ordered = tuple(sorted(violations))
+    # the dataclass order, compared as plain tuples
+    ordered = tuple(sorted(violations, key=_ORDER))
     return CheckReport(passed=not ordered, c1=c1, violations=ordered)
 
 

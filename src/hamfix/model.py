@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 N_POINTS = 6
 DIM = 5  # complex dimension: five weights per fixed point
@@ -162,9 +162,10 @@ class IsotropyComponent:
     ``within_degree``/``within_down`` count the slots (total / downward)
     each member vertex has inside the subgraph; ``divisible_count`` counts
     the weights divisible by ``k`` in the vertex's full weight multiset.
-    The component is *saturated* when the subgraph accounts for every
-    divisible weight at every member vertex; exactly those components model
-    full fixed submanifolds of the order-``k`` subgroup.
+    Every component is *saturated*: the two counts agree, because each
+    weight at ``v`` that ``k`` divides comes from a ``k``-divisible edge at
+    ``v``, and that edge lies in ``v``'s component.  So every component
+    models a full fixed submanifold of the order-``k`` subgroup.
     """
 
     k: int
@@ -216,73 +217,71 @@ def validate_structure(c: Configuration) -> None:
 def derive_weight_system(c: Configuration) -> WeightSystem:
     """Unfold the edge multiset into per-vertex signed weight multisets."""
     validate_structure(c)
+    return _unfold(c)
+
+
+def _unfold(c: Configuration) -> WeightSystem:
+    """:func:`derive_weight_system` for a ``c`` whose structure is checked."""
     signed: list[list[int]] = [[] for _ in range(N_POINTS)]
     for e in c.edges:
         signed[e.lo].extend([e.w] * e.mult)
         signed[e.hi].extend([-e.w] * e.mult)
-    weights = tuple(tuple(sorted(ws)) for ws in signed)
-    gamma = tuple(sum(ws) for ws in weights)
-    lam_minus = []
-    lam = []
-    for ws in weights:
-        neg = 1
-        tot = 1
-        for w in ws:
-            tot *= w
-            if w < 0:
-                neg *= w
-        lam_minus.append(neg)
-        lam.append(tot)
-    return WeightSystem(weights, gamma, tuple(lam_minus), tuple(lam))
+    weights = tuple([tuple(sorted(ws)) for ws in signed])
+    return WeightSystem(
+        weights,
+        tuple([sum(ws) for ws in weights]),
+        tuple([prod([w for w in ws if w < 0]) for ws in weights]),
+        tuple([prod(ws) for ws in weights]),
+    )
 
 
 def isotropy_components(
     c: Configuration, k: int, ws: WeightSystem | None = None
 ) -> list[IsotropyComponent]:
-    """Connected components of the subgraph of edges whose weight ``k`` divides."""
+    """Connected components of the subgraph of edges whose weight ``k`` divides.
+
+    Components come in order of their lowest vertex.  Passing ``ws``, the
+    weight system of ``c``, skips the structure check it implies.
+    """
     if k < 2:
         raise ValueError(f"isotropy order must be at least 2, got {k}")
     if ws is None:
-        ws = derive_weight_system(c)
+        validate_structure(c)
     kedges = [e for e in c.edges if e.w % k == 0]
-    adj: dict[int, set[int]] = {}
+    # label[v] is the lowest vertex joined to v so far
+    label = list(range(N_POINTS))
+    deg = [0] * N_POINTS
+    dwn = [0] * N_POINTS
     for e in kedges:
-        adj.setdefault(e.lo, set()).add(e.hi)
-        adj.setdefault(e.hi, set()).add(e.lo)
-    seen: set[int] = set()
+        lo, hi, m = e.lo, e.hi, e.mult
+        deg[lo] += m
+        deg[hi] += m
+        dwn[hi] += m
+        a, b = label[lo], label[hi]
+        if a != b:
+            if a > b:
+                a, b = b, a
+            label = [a if x == b else x for x in label]
+    # a component's label is its lowest vertex, met first in these scans
+    members: dict[int, list[int]] = {}
+    for v in range(N_POINTS):
+        if deg[v]:
+            members.setdefault(label[v], []).append(v)
+    comp_edges: dict[int, list[WeightEdge]] = {}
+    for e in kedges:
+        comp_edges.setdefault(label[e.lo], []).append(e)
     comps: list[IsotropyComponent] = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        stack = [start]
-        members: set[int] = set()
-        while stack:
-            v = stack.pop()
-            if v in members:
-                continue
-            members.add(v)
-            stack.extend(adj[v] - members)
-        seen |= members
-        vertices = tuple(sorted(members))
-        comp_edges = tuple(e for e in kedges if e.lo in members)
-        deg = {v: 0 for v in vertices}
-        dwn = {v: 0 for v in vertices}
-        for e in comp_edges:
-            deg[e.lo] += e.mult
-            deg[e.hi] += e.mult
-            dwn[e.hi] += e.mult
-        divc = tuple(sum(1 for w in ws.weights[v] if w % k == 0) for v in vertices)
-        within = tuple(deg[v] for v in vertices)
-        saturated = all(d == dc for d, dc in zip(within, divc))
+    for root, vertices in members.items():
+        within = tuple(map(deg.__getitem__, vertices))
         comps.append(
             IsotropyComponent(
                 k=k,
-                vertices=vertices,
+                vertices=tuple(vertices),
                 within_degree=within,
-                within_down=tuple(dwn[v] for v in vertices),
-                divisible_count=divc,
-                saturated=saturated,
-                edges=comp_edges,
+                within_down=tuple(map(dwn.__getitem__, vertices)),
+                divisible_count=within,
+                saturated=True,
+                edges=tuple(comp_edges[root]),
             )
         )
     return comps
@@ -290,12 +289,10 @@ def isotropy_components(
 
 def isotropy_orders(c: Configuration) -> list[int]:
     """All k >= 2 dividing at least one edge weight."""
-    out = []
-    top = c.max_weight()
-    for k in range(2, top + 1):
-        if any(e.w % k == 0 for e in c.edges):
-            out.append(k)
-    return out
+    ks: set[int] = set()
+    for w in {e.w for e in c.edges}:
+        ks.update(k for k in range(2, w + 1) if w % k == 0)
+    return sorted(ks)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from hamfix import (
+    CohomologyError,
     Configuration,
     ConsistencyError,
     DualityError,
@@ -100,6 +103,74 @@ def test_ring_integrality_error():
     c = _complete_graph_config(prof, {(0, 2): 4})
     with pytest.raises(IntegralityError):
         ring_presentation(c)
+
+
+def _ring_reference(c):
+    """ring_presentation by ``Fraction`` arithmetic throughout."""
+    phi = c.profile.values
+    lam_minus = derive_weight_system(c).lam_minus
+    q = []
+    a = []
+    for i in range(6):
+        denom = 1
+        for j in range(i):
+            denom *= phi[j] - phi[i]
+        qi = Fraction(lam_minus[i], denom)
+        ai = 1 / qi
+        if ai.denominator != 1:
+            raise IntegralityError(
+                f"generator multiplier at vertex {i} is {qi}; its inverse "
+                f"{ai} is not an integer"
+            )
+        q.append(qi)
+        a.append(int(ai))
+    for i in range(6):
+        if q[i] * q[5 - i] != q[5]:
+            raise DualityError(
+                f"duality fails: q_{i} * q_{5 - i} = {q[i] * q[5 - i]} != q_5 = {q[5]}"
+            )
+    return tuple(q), tuple(a)
+
+
+def _outcome(fn, c):
+    try:
+        return fn(c)
+    except CohomologyError as exc:
+        return type(exc), str(exc)
+
+
+def test_ring_presentation_matches_fraction_reference(mutant_corpus):
+    # integer divisibility tests against Fraction inverses: the same q and a,
+    # or the same exception class and message
+    kinds = set()
+    for c in mutant_corpus:
+        expected = _outcome(_ring_reference, c)
+        got = _outcome(ring_presentation, c)
+        if isinstance(got, tuple):
+            assert got == expected, c.label
+            kinds.add(got[0].__name__)
+        else:
+            assert (got.q, got.a) == expected, c.label
+            assert all(type(x) is Fraction for x in got.q)
+            assert all(type(x) is int for x in got.a)
+            kinds.add("ok")
+    assert kinds == {"ok", "IntegralityError", "DualityError"}, kinds
+
+
+def test_cohomology_reports_pinned_on_mutant_corpus(mutant_corpus):
+    # every cohomology_report, or its error class and message, on the
+    # builtins and their seeded mutants; digest taken before the integer
+    # ring tests
+    results = []
+    for c in mutant_corpus:
+        try:
+            results.append(cohomology_report(c))
+        except CohomologyError as exc:
+            results.append([type(exc).__name__, str(exc)])
+    text = json.dumps(results, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4840b2ec8eeae6ae62bba6412c4c5afdc57af08d0ed39ffdd1246c2d77b19222"
+    )
 
 
 def test_equivariant_basis(o):

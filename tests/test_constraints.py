@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -19,7 +22,8 @@ from hamfix import (
     derive_weight_system,
     flip,
 )
-from hamfix.constraints import _iter_gamma_relation, is_valid
+from hamfix.constraints import C1_MAX, C1_MIN, _iter_gamma_relation, is_valid
+from hamfix.model import PAIRS
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +201,63 @@ def test_c1_values():
     assert compute_c1(builtin("remark_w7")) == 3
 
 
+def _c1_reference(c):
+    """compute_c1 by ``Fraction`` ratios: every pair against pair (0, 1)."""
+    ws = derive_weight_system(c)
+    phi = c.profile.values
+    k = None
+    first_pair = None
+    for i, j in PAIRS:
+        kij = Fraction(ws.gamma[i] - ws.gamma[j], phi[j] - phi[i])
+        if k is None:
+            k = kij
+            first_pair = (i, j)
+        elif kij != k:
+            return Violation(
+                "C1Consistency",
+                vertices=(i, j),
+                detail=(
+                    f"pair ({i},{j}) gives weight-sum ratio {kij}, "
+                    f"pair {first_pair} gives {k}"
+                ),
+            )
+    if k.denominator != 1:
+        return Violation(
+            "C1Consistency",
+            vertices=first_pair,
+            detail=f"weight-sum ratio {k} is not an integer",
+        )
+    if not C1_MIN <= int(k) <= C1_MAX:
+        return Violation(
+            "C1Consistency",
+            vertices=first_pair,
+            detail=f"weight-sum ratio {int(k)} outside [{C1_MIN}, {C1_MAX}]",
+        )
+    return int(k)
+
+
+def test_c1_matches_fraction_reference(mutant_corpus):
+    # integer cross-multiplication against Fraction ratios: the same value,
+    # or the same violation with the same text; scaled moments and weights
+    # add consistent ratios that are not integers or fall outside [1, 6],
+    # which no single-edge mutant gives
+    scaled = [
+        Configuration(
+            MomentProfile(tuple(s * v for v in c.moment)),
+            tuple(WeightEdge(e.lo, e.hi, t * e.w, e.mult) for e in c.edges),
+        )
+        for c in mutant_corpus[:20]
+        for s in (1, 2, 3)
+        for t in (1, 2, 3)
+    ]
+    outcomes = set()
+    for c in mutant_corpus + scaled:
+        got, expected = compute_c1(c), _c1_reference(c)
+        assert got == expected and type(got) is type(expected), c.label
+        outcomes.add(" ".join(got.detail.split()[-2:]) if isinstance(got, Violation) else "int")
+    assert {"int", "an integer", "[1, 6]"} < outcomes, outcomes
+
+
 def test_c1_flip_invariant():
     for c in (builtin("o"), builtin("cp5", 1, 2, 3, 4, 5), builtin("grass", 2, 1, 2)):
         assert compute_c1(flip(c)) == compute_c1(c)
@@ -342,6 +403,22 @@ def test_is_valid_matches_check_all_random_mutants():
             assert is_valid(c, eff) == passed, (c.label, eff)
             outcomes.add(passed)
     assert outcomes == {True, False}
+
+
+def test_reports_pinned_on_mutant_corpus(mutant_corpus):
+    # full check_all reports, detail text included, on the builtins and
+    # their seeded mutants; the digest was taken before the rule walk's
+    # fast paths, so any change to a report or its wording shows here
+    reports = []
+    for c in mutant_corpus:
+        report = check_all(c)
+        assert is_valid(c) == report.passed, c.label
+        reports.append(report.to_dict())
+    text = json.dumps(reports, sort_keys=True, separators=(",", ":"))
+    assert sum(r["pass"] for r in reports) == 268
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "18a4bc18d28854c8ee01be1cd7622eb18fb1dd088d49cc0d22171561aa94af47"
+    )
 
 
 def test_check_all_flip_invariant_random_mutants():

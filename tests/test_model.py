@@ -6,6 +6,7 @@ import pytest
 
 from hamfix import (
     Configuration,
+    IsotropyComponent,
     MomentProfile,
     SchemaError,
     StructureError,
@@ -172,6 +173,71 @@ def test_canonicalize_idempotent(fixtures):
 
 def test_isotropy_orders(o):
     assert isotropy_orders(o) == [2, 3, 4, 5]
+
+
+def _isotropy_components_reference(c, k):
+    """The set-based search: adjacency sets, a DFS stack, divisible weights
+    counted from the weight multisets and saturation computed."""
+    ws = derive_weight_system(c)
+    kedges = [e for e in c.edges if e.w % k == 0]
+    adj = {}
+    for e in kedges:
+        adj.setdefault(e.lo, set()).add(e.hi)
+        adj.setdefault(e.hi, set()).add(e.lo)
+    seen = set()
+    comps = []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        stack = [start]
+        members = set()
+        while stack:
+            v = stack.pop()
+            if v in members:
+                continue
+            members.add(v)
+            stack.extend(adj[v] - members)
+        seen |= members
+        vertices = tuple(sorted(members))
+        comp_edges = tuple(e for e in kedges if e.lo in members)
+        deg = {v: 0 for v in vertices}
+        dwn = {v: 0 for v in vertices}
+        for e in comp_edges:
+            deg[e.lo] += e.mult
+            deg[e.hi] += e.mult
+            dwn[e.hi] += e.mult
+        divc = tuple(sum(1 for w in ws.weights[v] if w % k == 0) for v in vertices)
+        within = tuple(deg[v] for v in vertices)
+        comps.append(
+            IsotropyComponent(
+                k=k,
+                vertices=vertices,
+                within_degree=within,
+                within_down=tuple(dwn[v] for v in vertices),
+                divisible_count=divc,
+                saturated=all(d == dc for d, dc in zip(within, divc)),
+                edges=comp_edges,
+            )
+        )
+    return comps
+
+
+def test_isotropy_components_match_reference(mutant_corpus):
+    # the label-list components against the set-based search, every field,
+    # for every isotropy order of the builtins and their mutants
+    checked = 0
+    for c in mutant_corpus:
+        orders = isotropy_orders(c)
+        assert orders == [
+            k for k in range(2, c.max_weight() + 1) if any(e.w % k == 0 for e in c.edges)
+        ], c.label
+        ws = derive_weight_system(c)
+        for k in orders:
+            expected = _isotropy_components_reference(c, k)
+            assert isotropy_components(c, k) == expected, (c.label, k)
+            assert isotropy_components(c, k, ws=ws) == expected, (c.label, k)
+            checked += len(expected)
+    assert checked == 39341
 
 
 def test_json_round_trip(fixtures):
