@@ -26,10 +26,11 @@ independently, in which case the same final set is produced by brute force:
 * ``extremal``      -- force the two extremal edges to carry the full gap;
 * ``gamma``        -- derive the first-Chern multiple from the gap vector
                       and enforce exact per-vertex weight-sum targets;
-* ``balance``      -- walk once per global smallest weight and require, at
-                      each row's last cell, as many smallest-weight slots
-                      leaving vertex i as entering vertex i + 1 (with it
-                      off, the same balance is screened at the leaf).
+* ``balance``      -- walk once per global smallest weight and, at every
+                      cell of row i, cut the multisets after which the
+                      smallest-weight slots leaving vertex i can no longer
+                      equal those entering vertex i + 1 (with it off, the
+                      same balance is screened at the leaf).
 
 The reversed action gives an equivalent configuration, so one member of
 each mirror pair is kept: only mirror-canonical gap vectors are walked, and
@@ -54,7 +55,7 @@ import os
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 
 from . import cohomology
 from .constraints import C1_MAX, C1_MIN, compute_c1, is_valid
@@ -224,12 +225,14 @@ def _divisors_leq(n: int, bound: int) -> tuple[int, ...]:
     return tuple(w for w in range(1, min(n, bound) + 1) if n % w == 0)
 
 
-def _gamma_targets(spec: SearchSpec, phi: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _gamma_targets(spec: SearchSpec, phi: tuple[int, ...], floor: int) -> list[tuple[int, ...]]:
     """Per-vertex weight-sum targets, one vector per feasible first-Chern multiple.
 
     A valid configuration satisfies Gamma_i = Gamma_0 - k phi_i with
     6 Gamma_0 = k sum(phi); each target must fit in the interval reachable
-    by the vertex's slots, which prunes most gap vectors outright.
+    by the vertex's slots when every weight lies in ``[floor, max_weight]``,
+    which prunes most gap vectors outright.  A higher floor only narrows
+    each interval, so a floor without targets leaves none to every higher one.
     """
     sum_phi = sum(phi)
     maxw = spec.max_weight
@@ -244,13 +247,13 @@ def _gamma_targets(spec: SearchSpec, phi: tuple[int, ...]) -> list[tuple[int, ..
         ok = True
         for i in range(N_POINTS):
             up, down = DIM - i, i
-            lo, hi = up - down * maxw, up * maxw - down
+            lo, hi = up * floor - down * maxw, up * maxw - down * floor
             if spec.prune_extremal:
                 # extremal edges carry exactly the extremal gaps
                 if i == 0:
-                    lo, hi = g1 + (up - 1), g1 + (up - 1) * maxw
+                    lo, hi = g1 + (up - 1) * floor, g1 + (up - 1) * maxw
                 elif i == N_POINTS - 1:
-                    lo, hi = -g5 - (down - 1) * maxw, -g5 - (down - 1)
+                    lo, hi = -g5 - (down - 1) * maxw, -g5 - (down - 1) * floor
             if not lo <= targets[i] <= hi:
                 ok = False
                 break
@@ -263,15 +266,16 @@ def _gamma_targets(spec: SearchSpec, phi: tuple[int, ...]) -> list[tuple[int, ..
 # the per-gap-vector DFS
 
 
-def _multisets_by_sum(memo: dict, allowed: tuple[int, ...], m: int):
-    """Size-m multisets of allowed weights, sorted by sum: (sums, multisets), via memo."""
-    key = (allowed, m)
+def _multisets_by_sum(memo: dict, allowed: tuple[int, ...], m: int, wm: int):
+    """Size-m multisets of allowed weights sorted by sum, via memo:
+    ``(sums, multisets, counts)``, where ``counts[k]`` is how many ``wm``
+    the k-th multiset holds."""
+    key = (allowed, m, wm)
     got = memo.get(key)
     if got is None:
-        pairs = sorted(
-            (sum(ws), ws) for ws in combinations_with_replacement(allowed, m)
-        )
-        got = (tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+        # stable on the lexicographic order the combinations come in
+        msets = tuple(sorted(combinations_with_replacement(allowed, m), key=sum))
+        got = (tuple(map(sum, msets)), msets, tuple(ws.count(wm) for ws in msets))
         memo[key] = got
     return got
 
@@ -342,29 +346,34 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
     target vector.
 
     The gap vector is first rejected on the extremal and weight-sum tests,
-    and only a survivor builds its allowed-weight table.  With ``balance``
-    on, the walk runs once per floor ``wm``, the leaf's global smallest
-    weight: cells allow only weights >= ``wm``, and ``plus[v]``/``minus[v]``
-    count the ``wm`` slots leaving and entering v.  At row i's last cell
-    (i, 5) all of i's upward cells and all of i + 1's downward cells are
-    placed, so the walk requires ``plus[i] == minus[i + 1]`` there, and at
-    (4, 5) at least one ``wm`` slot (a leaf without one is walked under its
-    own floor).  ``dfs(ci)`` works from ``plan[ci]`` alone; with targets
-    active, each cell keeps only the multisets whose sum leaves both
-    endpoint vertices able to reach their targets with the slots they have
-    left.
+    and only a survivor builds its moment profile and allowed-weight table.
+    With ``balance`` on, the walk runs once per floor ``wm``, the leaf's
+    global smallest weight: a floor whose weight-sum targets are infeasible
+    with every weight >= ``wm`` is skipped, cells allow only weights >=
+    ``wm``, and ``plus[v]``/``minus[v]`` count the ``wm`` slots leaving and
+    entering v.  Row i's first cell (i, i + 1) places the last of i + 1's
+    downward cells, so from there on ``minus[i + 1]`` is final and, at every
+    cell of row i, the walk cuts a multiset that leaves ``plus[i]`` above it,
+    or below it by more ``wm`` slots than i's later cells can still take (none
+    if no later cell of row i allows ``wm``).  At row i's last cell (i, 5)
+    this is ``plus[i] == minus[i + 1]``; at (4, 5) the leaf must also hold a
+    ``wm`` slot (a leaf without one is walked under its own floor).
+    ``dfs(ci)`` works from ``plan[ci]`` alone; with targets active, each cell
+    keeps only the multisets whose sum leaves both endpoint vertices able to
+    reach their targets with the slots they have left.
     """
     pruned = stats.pruned
     maxw = spec.max_weight
     if spec.prune_extremal and (gaps[0] > maxw or gaps[4] > maxw):
         pruned["extremal"] += 1
         return
-    profile = MomentProfile.from_gaps(gaps)
-    candidates = _gamma_targets(spec, profile.values) if spec.prune_gamma else [None]
+    phi = (0, *accumulate(gaps))
+    candidates = _gamma_targets(spec, phi, 1) if spec.prune_gamma else [None]
     if not candidates:
         pruned["gamma"] += 1
         return
-    table = _allowed_table(spec, gaps, profile.values)
+    profile = MomentProfile.from_gaps(gaps)
+    table = _allowed_table(spec, gaps, phi)
     balance = spec.prune_balance
     if not balance:
         floors = (1,)
@@ -408,11 +417,14 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
         else:
             m_choices = range(min(up[i], down[j]) + 1)
         down_tail = sum(down[j + 1 :])
+        # the wm slots i + 1 receives beyond those i has sent so far
+        owed = minus[i + 1] - plus[i]
         for m in m_choices:
             if up[i] - m > down_tail:
                 pruned["slot"] += 1
                 continue
-            sums, msets = _multisets_by_sum(memo, allowed, m)
+            sums, msets, counts = _multisets_by_sum(memo, allowed, m, wm)
+            a, b = 0, len(sums)
             if targets is not None:
                 # the cell's weight sum must leave both vertices able to reach
                 # their targets with the slots they have left
@@ -431,37 +443,50 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
                 pruned["gamma"] += len(sums) - max(b - a, 0)  # multisets cut
                 if a >= b:
                     continue
-                msets = msets[a:b]
-            for weights in msets:
-                if balance:
-                    c = weights.count(wm)
-                    plus[i] += c
-                    minus[j] += c
-                    if last_up and (plus[i] != minus[i + 1] or (last_down and not any(plus))):
-                        plus[i] -= c
-                        minus[j] -= c
-                        pruned["balance"] += 1
-                        continue
+            # the cell's wm count c must leave owed - c (owed itself at
+            # (i, i + 1), where c also enters i + 1) between 0 and the wm
+            # slots row i's later cells can still take
+            c_lo, c_hi = 0, m
+            if balance:
+                room = up[i] - m if row_rest[0] == wm else 0
+                if not last_down:
+                    c_lo, c_hi = owed - room, owed
+                elif not 0 <= owed <= room:
+                    pruned["balance"] += b - a
+                    continue
+                elif last_up and not any(plus):
+                    c_lo = 1  # the leaf's only chance of a wm slot
+            up[i] -= m
+            down[j] -= m
+            for k in range(a, b):
+                c = counts[k]
+                if c < c_lo or c > c_hi:
+                    pruned["balance"] += 1
+                    continue
                 stats.nodes += 1
                 if limit is not None and stats.nodes > limit:
                     raise BudgetExceeded(f"node limit {limit} exceeded")
-                s = sum(weights)
-                up[i] -= m
-                down[j] -= m
+                s = sums[k]
                 psum[i] += s
                 psum[j] -= s
-                acc.append((i, j, weights))
+                plus[i] += c
+                minus[j] += c
+                acc.append((i, j, msets[k]))
                 dfs(ci + 1)
                 acc.pop()
-                up[i] += m
-                down[j] += m
                 psum[i] -= s
                 psum[j] += s
-                if balance:
-                    plus[i] -= c
-                    minus[j] -= c
+                plus[i] -= c
+                minus[j] -= c
+            up[i] += m
+            down[j] += m
 
-    for wm in floors:
+    for n, wm in enumerate(floors):
+        if n and spec.prune_gamma:
+            candidates = _gamma_targets(spec, phi, wm)
+            if not candidates:
+                pruned["gamma"] += len(floors) - n  # every floor from wm up
+                break
         plan = _cell_plan(table, wm)
         for targets in candidates:
             dfs(0)

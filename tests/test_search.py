@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import random
@@ -109,7 +110,8 @@ def test_pinned_gaps_match_open_search():
         expected = tuple(c for c in open_res.configurations if c.profile.gaps == gaps)
         assert pinned.configurations == expected
         assert bool(expected) == (gaps != (1, 1, 1, 1, 2))
-    assert open_res.stats.to_dict() == _stats(39562, 1, 126149, 427, 10466, 431)
+    # moved with the balance cut at every cell of a row (final unchanged)
+    assert open_res.stats.to_dict() == _stats(25460, 1, 85782, 427, 9377, 431)
 
 
 def test_gap_vectors_match_brute_force():
@@ -168,12 +170,14 @@ def test_enumerate_largest_from_c1_filter():
 
 
 # (nodes, extremal, gamma, slot, balance, final) at (2,6): a pruning change
-# that moves these must update the pin and say why
+# that moves these must update the pin and say why.  The balance-on rows
+# moved when the balance cut ran at every cell of a row instead of only its
+# last, and floors with infeasible weight-sum targets were skipped
 _STATS_2_6 = {
-    None: (235, 0, 343, 1, 103, 4),
-    "divisibility": (1708, 0, 2052, 15, 147, 184),
-    "extremal": (235, 0, 344, 1, 103, 4),
-    "gamma": (1769, 0, 0, 20, 1340, 50),
+    None: (95, 0, 196, 1, 44, 4),
+    "divisibility": (1516, 0, 1798, 15, 62, 184),
+    "extremal": (95, 0, 199, 1, 44, 4),
+    "gamma": (743, 0, 0, 20, 741, 50),
     "balance": (6669, 0, 3776, 151, 0, 857),
 }
 
@@ -244,6 +248,24 @@ def test_balance_toggle_soundness_nonempty_pool():
     assert no_balance.stats.pruned["balance"] == 0
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(5, 10, largest_from=((0, 5),), c1=3),
+        SearchSpec(5, 8, require_effective=True),
+        SearchSpec(7, 14, gaps=(1, 3, 2, 3, 1), require_effective=True),
+    ],
+    ids=["5-10-largest-c1", "5-8-effective", "7-14-pinned"],
+)
+def test_balance_cut_matches_leaf_screen(spec):
+    # the per-cell balance cut and floor-aware targets against the leaf screen
+    # alone, on filtered and pinned searches that emit configurations
+    fast = enumerate_configurations(spec, workers=1)
+    slow = enumerate_configurations(dataclasses.replace(spec, prune_balance=False), workers=1)
+    assert fast.configurations and fast.configurations == slow.configurations
+    assert fast.stats.nodes < slow.stats.nodes and slow.stats.pruned["balance"] == 0
+
+
 def test_full_brute_force_equivalence_tiny():
     pruned = enumerate_configurations(SearchSpec(1, 6), workers=1)
     brute = enumerate_configurations(
@@ -262,10 +284,11 @@ def test_full_brute_force_equivalence_tiny():
 
 
 def test_determinism_across_workers():
-    # two filtered searches that emit configurations through the leaf gate
+    # two filtered searches that emit configurations through the leaf gate;
+    # the stats moved with the balance cut at every cell of a row (final unchanged)
     for spec, stats in (
-        (SearchSpec(5, 8, require_effective=True), (7888, 0, 27150, 44, 2481, 67)),
-        (SearchSpec(5, 10, largest_from=((0, 5),), c1=3), (20853, 1, 71592, 182, 4275, 256)),
+        (SearchSpec(5, 8, require_effective=True), (4263, 0, 16500, 44, 2115, 67)),
+        (SearchSpec(5, 10, largest_from=((0, 5),), c1=3), (14463, 1, 50566, 182, 4390, 256)),
     ):
         docs = []
         for workers in (1, 2, 4):
@@ -379,7 +402,8 @@ def test_verifiers_share_one_search(cold_pool, monkeypatch):
     reports.append(verify_theorem3(workers=1))
     assert all(r.passed for r in reports)
     assert calls == [SearchSpec(5, 10)]
-    assert reports[2].stats.to_dict() == _stats(39562, 1, 126149, 427, 10466, 431)
+    # moved with the balance cut at every cell of a row (final unchanged)
+    assert reports[2].stats.to_dict() == _stats(25460, 1, 85782, 427, 9377, 431)
 
 
 def test_verifier_output_independent_of_workers(monkeypatch):
