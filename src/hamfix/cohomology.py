@@ -3,9 +3,12 @@
 All classes are represented by their restrictions to the six fixed points.
 A degree-2m class restricts at vertex ``i`` to ``coeffs[i] * t**m`` for the
 equivariant generator ``t``, so a class is a degree plus six rational
-coefficients; products multiply coefficients and add degrees.  Everything
-is computed with ``fractions.Fraction`` -- integrality failures are real
-obstructions, never rounding noise.
+coefficients; products multiply coefficients and add degrees.  All
+arithmetic is exact -- integrality failures are real obstructions, never
+rounding noise.  Classes hold ``fractions.Fraction`` coefficients; the
+Chern expansions run in integers, with the basis scaled by ``a_5`` (every
+``a_i`` divides it, by duality), and fall back to fractions only to raise
+the error of a row that is not integral or not consistent.
 """
 
 from __future__ import annotations
@@ -50,7 +53,11 @@ class EquivariantClass:
             raise ValueError(f"degree must be a nonnegative even integer: {self.degree}")
         if len(self.coeffs) != N_POINTS:
             raise ValueError("one restriction per fixed point required")
-        object.__setattr__(self, "coeffs", tuple(Fraction(x) for x in self.coeffs))
+        object.__setattr__(
+            self,
+            "coeffs",
+            tuple(x if type(x) is Fraction else Fraction(x) for x in self.coeffs),
+        )
 
     def __mul__(self, other: "EquivariantClass") -> "EquivariantClass":
         return EquivariantClass(
@@ -158,20 +165,34 @@ def equivariant_basis(c: Configuration) -> EquivariantBasis:
 def _equivariant_basis(
     c: Configuration, ws: WeightSystem, rp: RingPresentation
 ) -> EquivariantBasis:
+    a5 = rp.a[-1]
+    classes = tuple(
+        EquivariantClass(2 * i, tuple(Fraction(x, a5) for x in row))
+        for i, row in enumerate(_scaled_basis(c, ws, rp))
+    )
+    return EquivariantBasis(classes, rp.a, ws.lam_minus)
+
+
+def _scaled_basis(
+    c: Configuration, ws: WeightSystem, rp: RingPresentation
+) -> list[list[int]]:
+    """``a_5`` times the basis restrictions: ``rows[i][p]`` is
+    ``(a_5 / a_i) prod_{j<i} (phi_j - phi_p)``, an integer because duality
+    gives ``a_5 / a_i = a_{5-i}``."""
     phi = c.profile.values
-    classes = []
+    a5 = rp.a[-1]
+    rows = []
     for i in range(N_POINTS):
-        coeffs = []
+        row = []
         for p in range(N_POINTS):
-            prod = Fraction(1)
+            x = rp.a[N_POINTS - 1 - i]
             for j in range(i):
-                prod *= phi[j] - phi[p]
-            coeffs.append(prod / rp.a[i])
-        cls = EquivariantClass(2 * i, tuple(coeffs))
-        assert all(cls.coeffs[p] == 0 for p in range(i))
-        assert cls.coeffs[i] == ws.lam_minus[i]
-        classes.append(cls)
-    return EquivariantBasis(tuple(classes), rp.a, ws.lam_minus)
+                x *= phi[j] - phi[p]
+            row.append(x)
+        assert all(row[p] == 0 for p in range(i))
+        assert row[i] == a5 * ws.lam_minus[i]
+        rows.append(row)
+    return rows
 
 
 def elementary_symmetric(values, m: int) -> int:
@@ -235,13 +256,33 @@ def expand_in_basis(
 def total_chern(c: Configuration) -> ChernReport:
     """Expand every equivariant Chern class; the diagonal gives the ordinary ones."""
     ws = derive_weight_system(c)
-    return _total_chern(ws, _equivariant_basis(c, ws, _ring_presentation(c, ws)))
+    return _total_chern(c, ws, _ring_presentation(c, ws))
 
 
-def _total_chern(ws: WeightSystem, basis: EquivariantBasis) -> ChernReport:
+def _total_chern(c: Configuration, ws: WeightSystem, rp: RingPresentation) -> ChernReport:
+    """:func:`expand_in_basis` of each Chern class, in integers scaled by
+    ``a_5``; a row that is not integral or not consistent is expanded again
+    in fractions, which raises the error that row owes."""
+    a5 = rp.a[-1]
+    basis = _scaled_basis(c, ws, rp)
     rows = []
     for m in range(1, DIM + 1):
-        rows.append(expand_in_basis(chern_restrictions(ws, m), basis, require_integral=True))
+        x = [a5 * elementary_symmetric(w, m) for w in ws.weights]
+        d: list[int] = []
+        for p in range(N_POINTS):
+            acc = sum([d[i] * basis[i][p] for i in range(min(p, m + 1))])
+            if p <= m:
+                q, r = divmod(x[p] - acc, basis[p][p])
+                if r:
+                    break
+                d.append(q)
+            elif acc != x[p]:
+                break
+        else:
+            rows.append(tuple(d))
+            continue
+        basis_q = _equivariant_basis(c, ws, rp)
+        rows.append(expand_in_basis(chern_restrictions(ws, m), basis_q, require_integral=True))
     ordinary = tuple(rows[m - 1][m] for m in range(1, DIM + 1))
     if ordinary[-1] != N_POINTS:
         raise ConsistencyError(
@@ -267,7 +308,7 @@ def cohomology_report(c: Configuration) -> dict:
     """Ring, Chern and localization summary in the report JSON shape."""
     ws = derive_weight_system(c)
     rp = _ring_presentation(c, ws)
-    chern = _total_chern(ws, _equivariant_basis(c, ws, rp))
+    chern = _total_chern(c, ws, rp)
     omega5 = localize_integral(u_tilde(c) ** DIM, ws)
     euler = localize_integral(chern_restrictions(ws, DIM), ws)
     return {

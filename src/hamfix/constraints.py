@@ -15,7 +15,10 @@ only that its vertices have equally many such weights.
 
 One ordered walk over the rules yields the violations:
 :func:`check_all` collects all of them into a report, and :func:`is_valid`
-stops at the first one for the enumeration hot path.
+stops at the first one for the enumeration hot path.  The walk takes each
+isotropy order in one flat pass over the plain component tuples of
+``model._components``, checking regularity, balance and mod-k congruence
+per component and building a :class:`Violation` only when a rule fires.
 """
 
 from __future__ import annotations
@@ -29,12 +32,11 @@ from .model import (
     N_POINTS,
     PAIRS,
     Configuration,
-    IsotropyComponent,
     WeightSystem,
+    _components,
     _has_edge,
     _unfold,
     derive_weight_system,
-    isotropy_components,
     isotropy_orders,
     structure_problems,
 )
@@ -115,107 +117,32 @@ def _iter_divisibility(c: Configuration, ws: WeightSystem):
                 )
 
 
-def _residues(weights, k: int) -> tuple[int, ...]:
-    return tuple(sorted([w % k for w in weights]))
-
-
-def _iter_mod(ws: WeightSystem, comp: IsotropyComponent):
-    k = comp.k
-    base = comp.vertices[0]
-    base_res = _residues(ws.weights[base], k)
-    for v in comp.vertices[1:]:
-        res = _residues(ws.weights[v], k)
-        if res != base_res:
-            yield Violation(
-                "ModK",
-                vertices=(base, v),
-                detail=(
-                    f"weights at {base} and {v} differ mod {k}: {base_res} vs {res}"
-                ),
-            )
-
-
 def _iter_balance(edges, lam_of, dim: int, k: int | None, vertices):
     """Smallest-weight pairing balance across index levels.
 
     With w the smallest weight among ``edges``, the number of ``-w`` slots
     at points of index level m+1 must equal the number of ``+w`` slots at
-    level m.
+    level m.  ``lam_of`` maps each endpoint to its level in ``0..dim``.
     """
     if not edges:
         return
-    wmin = min(e.w for e in edges)
-    plus: dict[int, int] = {}
-    minus: dict[int, int] = {}
+    wmin = min([e.w for e in edges])
+    plus = [0] * (dim + 1)
+    minus = [0] * (dim + 1)
     for e in edges:
         if e.w == wmin:
-            lo, hi = lam_of(e.lo), lam_of(e.hi)
-            plus[lo] = plus.get(lo, 0) + e.mult
-            minus[hi] = minus.get(hi, 0) + e.mult
+            plus[lam_of(e.lo)] += e.mult
+            minus[lam_of(e.hi)] += e.mult
     for m in range(dim):
-        np_ = plus.get(m, 0)
-        nm = minus.get(m + 1, 0)
-        if np_ != nm:
+        if plus[m] != minus[m + 1]:
             scope = "globally" if k is None else f"in the k={k} component {vertices}"
             yield Violation(
                 "SmallestWeightBalance",
                 vertices=tuple(vertices),
                 detail=(
-                    f"{scope}: smallest weight {wmin} has {np_} positive slots at "
-                    f"index level {m} but {nm} negative slots at level {m + 1}"
-                ),
-            )
-
-
-def _where(comp: IsotropyComponent) -> str:
-    return f"k={comp.k} component {comp.vertices}"
-
-
-def _iter_regularity(comp: IsotropyComponent):
-    if len(set(comp.divisible_count)) != 1:
-        yield Violation(
-            "ComponentRegularity",
-            vertices=comp.vertices,
-            detail=(
-                f"{_where(comp)}: divisible-weight counts {comp.divisible_count} "
-                "are not constant"
-            ),
-        )
-        return
-    d = comp.divisible_count[0]
-    levels = [0] * (d + 1)
-    for lam in comp.within_down:
-        levels[lam] += 1
-    if levels[0] != 1 or levels[d] != 1:
-        yield Violation(
-            "ComponentRegularity",
-            vertices=comp.vertices,
-            detail=f"{_where(comp)}: expected unique minimum and maximum, levels {levels}",
-        )
-    for m in range(d + 1):
-        if levels[m] == 0:
-            yield Violation(
-                "ComponentRegularity",
-                vertices=comp.vertices,
-                detail=f"{_where(comp)}: no vertex at index level {m} of {d}",
-            )
-        if levels[m] != levels[d - m]:
-            yield Violation(
-                "ComponentRegularity",
-                vertices=comp.vertices,
-                detail=(
-                    f"{_where(comp)}: index level counts {levels} are not "
-                    "symmetric under duality"
-                ),
-            )
-    for p, (v, lam) in enumerate(zip(comp.vertices, comp.within_down)):
-        if lam > p:
-            yield Violation(
-                "IndexBound",
-                vertices=(v,),
-                detail=(
-                    f"{_where(comp)}: vertex {v} has index level {lam} with only "
-                    f"{p} lower vertices in the component"
+                    f"{scope}: smallest weight {wmin} has {plus[m]} positive slots "
+                    f"at index level {m} but {minus[m + 1]} negative slots at "
+                    f"level {m + 1}"
                 ),
             )
 
@@ -277,17 +204,16 @@ def _iter_gamma_relation(c: Configuration, ws: WeightSystem, k: int):
             continue
         if w != max(biggest[i], biggest[j]):
             continue
-        s = down_mult[(j, w)]
-        lhs = j - i + s
-        rhs = Fraction(k * (phi[j] - phi[i]), w)
-        if lhs != rhs:
+        lhs = j - i + down_mult[(j, w)]
+        rhs = k * (phi[j] - phi[i])
+        if lhs * w != rhs:
             yield Violation(
                 "GammaRelation",
                 vertices=(i, j),
                 edges=((i, j, w),),
                 detail=(
                     f"edge ({i},{j},{w}): index relation gives {lhs}, "
-                    f"weight sums give {rhs}"
+                    f"weight sums give {Fraction(rhs, w)}"
                 ),
             )
 
@@ -310,8 +236,9 @@ def _walk(c: Configuration, effective: bool | None):
     """Yield every violation of ``c``, cheap and lethal rules first.
 
     The order is structure, extremal edges, c1, divisibility, global
-    balance, then per isotropy component regularity, balance and mod-k,
-    then the gamma relation and effectiveness.  Structure is checked once,
+    balance, then one flat pass per isotropy order over its components
+    (regularity, balance and mod-k of each), then the gamma relation and
+    effectiveness.  Structure is checked once,
     and the weight system is unfolded once, after structure and the
     extremal edges are walked.  Returns the first-Chern multiple, or
     ``None`` when undefined.
@@ -329,16 +256,55 @@ def _walk(c: Configuration, effective: bool | None):
         c1 = None
     yield from _iter_divisibility(c, ws)
     yield from _iter_balance(c.edges, lambda v: v, DIM, None, tuple(range(N_POINTS)))
+    weights = ws.weights
     for k in isotropy_orders(c):
-        for comp in isotropy_components(c, k, ws=ws):
-            yield from _iter_regularity(comp)
-            counts = comp.divisible_count
-            if len(set(counts)) == 1:
-                lam = dict(zip(comp.vertices, comp.within_down))
-                yield from _iter_balance(
-                    comp.edges, lam.__getitem__, counts[0], k, comp.vertices
+        for vertices, within, down, edges in _components(c, k):
+            counts = [within[v] for v in vertices]
+            d = counts[0]
+            if counts.count(d) != len(counts):
+                yield Violation(
+                    "ComponentRegularity",
+                    vertices,
+                    detail=f"k={k} component {vertices}: divisible-weight counts "
+                    f"{tuple(counts)} are not constant",
                 )
-            yield from _iter_mod(ws, comp)
+            else:
+                levels = [0] * (d + 1)
+                for v in vertices:
+                    levels[down[v]] += 1
+                irregular = []
+                if levels[0] != 1 or levels[d] != 1:
+                    irregular.append(f"expected unique minimum and maximum, levels {levels}")
+                for m in range(d + 1):
+                    if levels[m] == 0:
+                        irregular.append(f"no vertex at index level {m} of {d}")
+                    if levels[m] != levels[d - m]:
+                        irregular.append(
+                            f"index level counts {levels} are not symmetric under duality"
+                        )
+                for text in irregular:
+                    detail = f"k={k} component {vertices}: {text}"
+                    yield Violation("ComponentRegularity", vertices, detail=detail)
+                for p, v in enumerate(vertices):
+                    if down[v] > p:
+                        yield Violation(
+                            "IndexBound",
+                            (v,),
+                            detail=f"k={k} component {vertices}: vertex {v} has index level "
+                            f"{down[v]} with only {p} lower vertices in the component",
+                        )
+                yield from _iter_balance(edges, down.__getitem__, d, k, vertices)
+            base = vertices[0]
+            base_res = sorted([w % k for w in weights[base]])
+            for v in vertices[1:]:
+                res = sorted([w % k for w in weights[v]])
+                if res != base_res:
+                    yield Violation(
+                        "ModK",
+                        (base, v),
+                        detail=f"weights at {base} and {v} differ mod {k}: "
+                        f"{tuple(base_res)} vs {tuple(res)}",
+                    )
     if c1 is not None:
         yield from _iter_gamma_relation(c, ws, c1)
     if c.effective if effective is None else effective:

@@ -247,16 +247,41 @@ def isotropy_components(
         raise ValueError(f"isotropy order must be at least 2, got {k}")
     if ws is None:
         validate_structure(c)
+    comps = []
+    for vertices, within, down, edges in _components(c, k):
+        counts = tuple(map(within.__getitem__, vertices))
+        comps.append(
+            IsotropyComponent(
+                k=k,
+                vertices=vertices,
+                within_degree=counts,
+                within_down=tuple(map(down.__getitem__, vertices)),
+                divisible_count=counts,
+                saturated=True,
+                edges=edges,
+            )
+        )
+    return comps
+
+
+def _components(c: Configuration, k: int) -> list[tuple]:
+    """The components of :func:`isotropy_components` as plain
+    ``(vertices, within, down, edges)`` tuples, for ``k >= 2``.
+
+    ``within[v]`` and ``down[v]`` are indexed by vertex, not by position in
+    ``vertices``: the slots (total / downward) vertex ``v`` has among the
+    ``k``-divisible edges, which all lie in ``v``'s component.
+    """
     kedges = [e for e in c.edges if e.w % k == 0]
     # label[v] is the lowest vertex joined to v so far
     label = list(range(N_POINTS))
-    deg = [0] * N_POINTS
-    dwn = [0] * N_POINTS
+    within = [0] * N_POINTS
+    down = [0] * N_POINTS
     for e in kedges:
         lo, hi, m = e.lo, e.hi, e.mult
-        deg[lo] += m
-        deg[hi] += m
-        dwn[hi] += m
+        within[lo] += m
+        within[hi] += m
+        down[hi] += m
         a, b = label[lo], label[hi]
         if a != b:
             if a > b:
@@ -265,26 +290,15 @@ def isotropy_components(
     # a component's label is its lowest vertex, met first in these scans
     members: dict[int, list[int]] = {}
     for v in range(N_POINTS):
-        if deg[v]:
+        if within[v]:
             members.setdefault(label[v], []).append(v)
     comp_edges: dict[int, list[WeightEdge]] = {}
     for e in kedges:
         comp_edges.setdefault(label[e.lo], []).append(e)
-    comps: list[IsotropyComponent] = []
-    for root, vertices in members.items():
-        within = tuple(map(deg.__getitem__, vertices))
-        comps.append(
-            IsotropyComponent(
-                k=k,
-                vertices=tuple(vertices),
-                within_degree=within,
-                within_down=tuple(map(dwn.__getitem__, vertices)),
-                divisible_count=within,
-                saturated=True,
-                edges=tuple(comp_edges[root]),
-            )
-        )
-    return comps
+    return [
+        (tuple(vs), within, down, tuple(comp_edges[root]))
+        for root, vs in members.items()
+    ]
 
 
 def isotropy_orders(c: Configuration) -> list[int]:

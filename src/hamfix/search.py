@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations, combinations_with_replacement
 
@@ -574,6 +573,9 @@ def enumerate_configurations(spec: SearchSpec, workers: int | None = None) -> Se
     if workers == 1:
         configs, stats = _search_chunk(spec, gaps)
     else:
+        # imported here so that importing hamfix loads no process machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         stats = SearchStats()
         configs = []
         chunk_size = max(1, len(gaps) // (workers * 8))

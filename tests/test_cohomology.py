@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
+from math import prod
 
 import pytest
 
@@ -28,7 +32,8 @@ from hamfix import (
     total_chern,
     u_tilde,
 )
-from hamfix.cohomology import elementary_symmetric, one_class
+from hamfix.cohomology import EquivariantBasis, elementary_symmetric, one_class
+from hamfix.model import PAIRS
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +176,79 @@ def test_cohomology_reports_pinned_on_mutant_corpus(mutant_corpus):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "4840b2ec8eeae6ae62bba6412c4c5afdc57af08d0ed39ffdd1246c2d77b19222"
     )
+
+
+def _chern_reference(c):
+    """total_chern in ``Fraction`` arithmetic: basis classes from their
+    formula, each row through expand_in_basis, then the top-coefficient test."""
+    rp = ring_presentation(c)
+    ws = derive_weight_system(c)
+    phi = c.profile.values
+    classes = tuple(
+        EquivariantClass(
+            2 * i,
+            tuple(
+                Fraction(prod(phi[j] - phi[p] for j in range(i)), rp.a[i])
+                for p in range(6)
+            ),
+        )
+        for i in range(6)
+    )
+    basis = EquivariantBasis(classes, rp.a, ws.lam_minus)
+    rows = tuple(
+        expand_in_basis(chern_restrictions(ws, m), basis, require_integral=True)
+        for m in range(1, 6)
+    )
+    ordinary = tuple(rows[m - 1][m] for m in range(1, 6))
+    if ordinary[-1] != 6:
+        raise ConsistencyError(
+            f"top Chern coefficient {ordinary[-1]} != number of fixed points 6"
+        )
+    return rows, ordinary
+
+
+def _chern_rows(c):
+    report = total_chern(c)
+    return report.equivariant, report.ordinary
+
+
+def _drawn_ring_survivors(draws, seed=5):
+    """Of ``draws`` configurations with one edge per vertex pair, moment gaps
+    in 1..4 and each weight a random divisor <= 8 of its moment gap, those
+    whose generator multipliers are integral and satisfy duality; the
+    multipliers are tested on the raw draw, before any object is built."""
+    rng = random.Random(seed)
+    divisors = {g: [d for d in range(1, 9) if g % d == 0] for g in range(1, 21)}
+    for _ in range(draws):
+        phi = tuple(accumulate([rng.randint(1, 4) for _ in range(5)], initial=0))
+        w = {(i, j): rng.choice(divisors[phi[j] - phi[i]]) for i, j in PAIRS}
+        a = []
+        for i in range(6):
+            denom = prod([phi[j] - phi[i] for j in range(i)])
+            lam_minus = prod([-w[j, i] for j in range(i)])
+            if denom % lam_minus:
+                break
+            a.append(denom // lam_minus)
+        else:
+            if all(a[i] * a[5 - i] == a[5] for i in range(6)):
+                edges = tuple(WeightEdge(i, j, x) for (i, j), x in w.items())
+                yield Configuration(MomentProfile(phi), edges)
+
+
+def test_integer_chern_matches_fraction_expansion(mutant_corpus):
+    # the integer Chern rows against Fraction expansions: the same rows, or
+    # the same exception class and message.  The corpus members fail at the
+    # ring test or expand; the drawn ones reach the inconsistent-row fallback
+    drawn = list(_drawn_ring_survivors(25_000))
+    kinds = Counter()
+    for c in mutant_corpus + drawn:
+        expected = _outcome(_chern_reference, c)
+        got = _outcome(_chern_rows, c)
+        assert got == expected, c.label
+        kinds["ok" if isinstance(got[0], tuple) else got[0].__name__] += 1
+    assert kinds["ok"] == 272
+    assert kinds["ConsistencyError"] == len(drawn) == 4
+    assert set(kinds) == {"ok", "IntegralityError", "DualityError", "ConsistencyError"}
 
 
 def test_equivariant_basis(o):

@@ -6,6 +6,8 @@ import dataclasses
 import itertools
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -281,6 +283,19 @@ def test_full_brute_force_equivalence_tiny():
     )
     assert pruned.configurations == brute.configurations
     assert brute.stats.nodes >= pruned.stats.nodes
+
+
+def test_import_loads_no_process_pool():
+    # the worker pool is imported only by a search with more than one worker,
+    # so a one-worker run or a CLI call does not pay for it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hamfix; print(sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "'hamfix.search'" in proc.stdout
+    assert "'concurrent.futures'" not in proc.stdout
 
 
 def test_determinism_across_workers():
