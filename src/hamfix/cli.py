@@ -179,16 +179,14 @@ def _cmd_enumerate(args) -> int:
             f"  gaps {c.profile.gaps}  weights "
             + " | ".join(" ".join(str(w) for w in row) for row in ws.weights)
         )
-    if args.seed_stats:
-        human.extend(_stats_lines(result.stats))
-    _emit(doc, human, args.json)
+    _emit(doc, human + _stats_lines(result.stats), args.json)
     return 0
 
 
 #: the verifier of each theorem and the ``verify`` flags it reads
 _VERIFIERS = {
-    "thm1": (verify_theorem1, ("max_weight", "max_width")),
-    "thm2": (verify_theorem2, ("max_width",)),
+    "thm1": (verify_theorem1, ("max_weight",)),
+    "thm2": (verify_theorem2, ()),
     "thm3": (verify_theorem3, ()),
     "thm4": (verify_theorem4, ("a", "c")),
 }
@@ -197,9 +195,7 @@ _VERIFIERS = {
 def _cmd_verify(args) -> int:
     verifier, reads = _VERIFIERS[args.theorem]
     # only the given flags are passed, so the verifiers keep the defaults
-    given = {
-        n: v for n in ("max_weight", "max_width", "a", "c") if (v := getattr(args, n)) is not None
-    }
+    given = {n: v for n in ("max_weight", "a", "c") if (v := getattr(args, n)) is not None}
     ignored = [f"--{n.replace('_', '-')}" for n in given if n not in reads]
     if ignored:
         raise ParamError(f"verify {args.theorem} does not read {', '.join(ignored)}")
@@ -208,9 +204,7 @@ def _cmd_verify(args) -> int:
     report = verifier(workers=args.threads, **given)
     doc = report.to_dict()
     human = [f"{report.name}: {'PASS' if report.passed else 'FAIL'}", report.summary]
-    if args.seed_stats:
-        human.extend(_stats_lines(report.stats))
-    _emit(doc, human, args.json)
+    _emit(doc, human + _stats_lines(report.stats), args.json)
     return 0 if report.passed else 1
 
 
@@ -242,11 +236,17 @@ def _cmd_project_gkm(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors are one stderr line and exit 2;
-    its subparsers are built from the same class."""
+    """An argument parser whose usage errors are one stderr line and exit 2; its
+    subparsers are built from the same class and reject their own unknown flags."""
 
     def error(self, message: str):
         self.exit(_USAGE_EXIT, f"error: {message} (see {self.prog} --help)\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="exhaustive search within bounds")
     p_enum.add_argument("--max-weight", type=int, required=True)
-    p_enum.add_argument("--max-width", type=int, required=True)
+    p_enum.add_argument("--max-width", type=int, help="default: 10 * max weight, the proved bound")
     p_enum.add_argument("--c1", type=int, default=None)
     p_enum.add_argument(
         "--largest-from",
@@ -294,18 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_enum.add_argument("--node-limit", type=int, default=None)
     p_enum.add_argument("--threads", type=int, default=None, help="worker count (default HAMFIX_THREADS or all cores)")
-    p_enum.add_argument("--seed-stats", action="store_true", help="print prune counters")
     p_enum.add_argument("--json", action="store_true")
     p_enum.set_defaults(func=_cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="run a classification verifier")
     p_verify.add_argument("theorem", choices=tuple(_VERIFIERS))
     p_verify.add_argument("--max-weight", type=int, default=None, help="thm1 only")
-    p_verify.add_argument("--max-width", type=int, default=None, help="thm1 and thm2")
     p_verify.add_argument("--a", type=int, default=None, help="thm4 only")
     p_verify.add_argument("--c", type=int, default=None, help="thm4 only")
     p_verify.add_argument("--threads", type=int, default=None)
-    p_verify.add_argument("--seed-stats", action="store_true")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -3,7 +3,9 @@ verifiers built on top of it.
 
 The search space for given bounds is: every moment gap vector (five positive
 integers with bounded sum) combined with every slot-respecting edge multiset
-whose weights are bounded.  A configuration is emitted when it passes the
+whose weights are bounded.  The width bound defaults to the proved one,
+``2 * DIM * max_weight``, as the extremal weight sums differ by at least the
+width and by at most that.  A configuration is emitted when it passes the
 full constraint report, has integral generator multipliers satisfying
 duality, an integral Chern expansion, and matches the requested filters.
 
@@ -41,12 +43,12 @@ worker count.
 
 The verifiers of theorems 1-3 share one pool per process: ``_pool`` keeps
 each open search they run, keyed by its ``SearchSpec`` (the worker count is
-left out), so ``thm1`` at weight 5, ``thm2`` and ``thm3`` search (5, width)
-once and each reads its subset off the result; ``thm4``'s pinned searches
-run directly.  A verifier's ``statistics`` therefore describe the shared
-search: ``thm3`` reports the whole (5, 10) search, not one filtered to a
-largest weight on (0, 5).  ``enumerate_configurations`` itself is never
-cached.
+left out), so ``thm1`` at weight 5 and ``thm2`` search (5, 50) once and each
+reads its subset off the result; ``thm3`` claims uniqueness at width 10, so
+it reads (5, 10); ``thm4``'s pinned searches run directly.  A verifier's
+``statistics`` therefore describe the shared search: ``thm3`` reports the
+whole (5, 10) search, not one filtered to a largest weight on (0, 5).
+``enumerate_configurations`` itself is never cached.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ class SearchSpec:
     """Bounds, filters and pruning toggles for one enumeration run."""
 
     max_weight: int
-    max_width: int
+    max_width: int | None = None  # None: the proved bound, 2 * DIM * max_weight
     c1: int | None = None
     largest_from: tuple[tuple[int, int], ...] = ()
     require_effective: bool = False
@@ -104,7 +106,9 @@ class SearchSpec:
     def __post_init__(self) -> None:
         for name in ("max_weight", "max_width", "c1", "node_limit"):
             v = getattr(self, name)
-            if not _is_int(v) and not (v is None and name in ("c1", "node_limit")):
+            if v is None and name == "max_width":  # max_weight has passed its check
+                object.__setattr__(self, name, 2 * DIM * self.max_weight)
+            elif not _is_int(v) and not (v is None and name in ("c1", "node_limit")):
                 raise SpecError(f"{name} must be an integer, got {v!r}")
         for name in ("require_effective", *(f"prune_{rule}" for rule in _TOGGLES)):
             if not isinstance(getattr(self, name), bool):
@@ -646,12 +650,12 @@ def o_weight_system() -> tuple[tuple[int, ...], ...]:
 
 
 def verify_theorem1(
-    max_width: int = 40, max_weight: int = 4, workers: int | None = None
+    max_width: int | None = None, max_weight: int = 4, workers: int | None = None
 ) -> TheoremReport:
     """No valid configuration has all weights at most 4.
 
-    The default width bound 40 is exhaustive: the extremal weight sums
-    differ by at most 2*5*max_weight, and they differ by at least the
+    The default width bound 2*5*max_weight (40 at weight 4) is exhaustive:
+    the extremal weight sums differ by at most that, and by at least the
     first-Chern multiple (>= 1) times the width.  With ``max_weight`` >= 5
     the run demonstrates sharpness instead: the search is nonempty and
     contains the coadjoint-orbit weight system.
@@ -661,7 +665,7 @@ def verify_theorem1(
     if max_weight <= 4:
         passed = not res.configurations
         summary = (
-            f"no valid configuration with weights <= {max_weight}, width <= {max_width}"
+            f"no valid configuration with weights <= {max_weight}, width <= {res.spec.max_width}"
             if passed
             else f"counterexample found: {len(res.configurations)} configurations"
         )
@@ -689,15 +693,16 @@ def verify_theorem1(
     )
 
 
-def verify_theorem2(max_width: int = 40, workers: int | None = None) -> TheoremReport:
+def verify_theorem2(max_width: int | None = None, workers: int | None = None) -> TheoremReport:
     """Equivalence of three descriptions of the largest-weight-5 pool.
 
-    Over all valid configurations whose largest weight is exactly 5, the
-    following select the same subset: (1) first-Chern multiple 3; (2) a
-    largest-weight edge between the extremes spanning half the width;
-    (3) largest-weight edges (1,3) and (2,4) spanning the corresponding
-    gaps, with mirror-equal extremal gaps.  Members carry |5| exactly once
-    at each endpoint.
+    Over all valid configurations whose largest weight is exactly 5 (by
+    default within the proved width bound 50), the following select the
+    same subset: (1) first-Chern multiple 3; (2) a largest-weight edge
+    between the extremes spanning half the width; (3) largest-weight edges
+    (1,3) and (2,4) spanning the corresponding gaps, with mirror-equal
+    extremal gaps.  Members carry |5| exactly once at each endpoint.  The
+    summary names the width searched and whether it covers that bound.
     """
     res = _pool(SearchSpec(5, max_width), workers)
     pool = [c for c in res.configurations if c.max_weight() == 5]
@@ -734,6 +739,8 @@ def verify_theorem2(max_width: int = 40, workers: int | None = None) -> TheoremR
         f"{len(set1)}/{len(set2)}/{len(set3)} members; "
         + ("equivalent" if equal else "NOT equivalent")
         + (", |5| simple at every endpoint" if mult_ok and pairs_ok else ", multiplicity failure")
+        + f"; width <= {res.spec.max_width} "
+        + ("covers" if res.spec.max_width >= 50 else "is below") + " the proved bound 50"
     )
     return TheoremReport(
         "thm2",

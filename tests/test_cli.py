@@ -94,7 +94,6 @@ def test_enumerate_json(capsys):
             "--max-weight", "5",
             "--max-width", "5",
             "--threads", "1",
-            "--seed-stats",
             "--json",
         ]
     )
@@ -189,8 +188,8 @@ def test_console_script_entry_point(o_file):
         ["enumerate", "--max-weight", "5", "--max-width", "10", "--largest-from", "0,9"],
         ["enumerate", "--max-weight", "5", "--max-width", "10", "--largest-from", "2,2"],
         ["verify", "thm1", "--max-weight", "0"],
-        ["verify", "thm1", "--max-width", "0"],
-        ["verify", "thm2", "--max-width", "0"],
+        ["verify", "thm2", "--max-weight", "5"],  # thm2 reads no flag
+        ["enumerate", "--max-weight", "0"],  # caught before a width is derived from it
         ["enumerate", "--max-weight", "2", "--max-width", "5", "--threads", "0"],
         ["enumerate", "--max-weight", "2", "--max-width", "5", "--threads", "-3"],
         ["enumerate", "--max-weight", "2", "--max-width", "5", "--node-limit", "-1"],
@@ -198,10 +197,10 @@ def test_console_script_entry_point(o_file):
         ["enumerate", "--max-weight", "5", "--max-width", "10", "--gaps", "1,1,1,1"],
         ["enumerate", "--max-weight", "5", "--max-width", "9", "--gaps", "1,3,2,3,1"],
         ["project-gkm", "--xi", "x,1"],
-        ["verify", "thm3", "--max-weight", "7", "--max-width", "3", "--a", "9"],
+        ["verify", "thm3", "--max-weight", "7", "--a", "9"],
         ["verify", "thm2", "--max-weight", "9"],
         ["verify", "thm1", "--c", "3"],
-        ["verify", "thm4", "--a", "1", "--c", "3", "--max-width", "10"],
+        ["enumerate", "--max-weight", "1", "--gaps", "1,3,2,3,2"],  # wider than the bound 10
         ["verify", "thm4", "--a", "1"],
         ["verify", "thm4", "--a", "1", "--c", "4"],
     ],
@@ -221,6 +220,10 @@ def test_argument_errors_exit_2_with_one_line(argv, capsys):
         ["project-gkm", "--json"],
         ["verify", "thm9"],
         ["enumerate", "--max-width", "5"],
+        ["verify", "thm1", "--max-width", "0"],
+        ["verify", "thm2", "--max-width", "0"],
+        ["verify", "thm3", "--max-weight", "7", "--max-width", "3", "--a", "9"],
+        ["verify", "thm4", "--a", "1", "--c", "3", "--max-width", "10"],
     ],
 )
 def test_parser_usage_errors_are_one_line(argv, capsys):
@@ -231,6 +234,26 @@ def test_parser_usage_errors_are_one_line(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_unknown_flag_names_the_subcommand_help(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "thm2", "--max-width", "40"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: unrecognized arguments: --max-width 40 (see hamfix verify --help)"
+    ]
+
+
+def test_human_output_ends_with_the_search_statistics(capsys):
+    assert main(["enumerate", "--max-weight", "5", "--max-width", "5", "--threads", "1"]) == 0
+    human = capsys.readouterr().out.splitlines()
+    assert main(["enumerate", "--max-weight", "5", "--max-width", "5", "--threads", "1", "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)["statistics"]
+    parts = " ".join(f"{k}={v}" for k, v in stats["pruned"].items())
+    assert human[-2:] == [f"nodes explored: {stats['nodes']}", f"pruned: {parts}"]
 
 
 def test_help_is_unaffected(capsys):

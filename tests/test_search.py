@@ -441,3 +441,44 @@ def test_warm_pool_still_rejects_bad_worker_counts(cold_pool, monkeypatch):
     for width in (10.0, True):
         with pytest.raises(SpecError):
             verify_theorem2(max_width=width, workers=1)
+
+
+
+@pytest.mark.parametrize("extremal", [True, False], ids=["extremal", "no-extremal"])
+def test_width_bound_is_exhaustive(extremal):
+    # k * width = Gamma_0 - Gamma_5 <= 2 * 5 * max_weight: every gap vector just
+    # past the bound, mirror-canonical or not, is cut before its first cell
+    for w in (1, 2, 3):
+        spec = SearchSpec(w, prune_extremal=extremal)
+        assert spec.max_width == 10 * w
+        cuts = itertools.combinations(range(1, 10 * w + 4), DIM)
+        vectors = [tuple(b - a for a, b in zip((0, *c), c)) for c in cuts if c[-1] > 10 * w]
+        stats, sink, memo = SearchStats(), [], {}
+        for gaps in vectors:
+            search._search_gap(spec, gaps, stats, sink, memo)
+        assert stats.nodes == 0 and sink == []
+        assert stats.pruned["extremal"] + stats.pruned["gamma"] == len(vectors)
+
+
+def test_default_width_is_the_proved_bound(cold_pool, monkeypatch):
+    assert SearchSpec(5) == SearchSpec(5, 50) and hash(SearchSpec(5)) == hash(SearchSpec(5, 50))
+    assert SearchSpec(4, None, c1=3).max_width == 40
+    for bad in ("5", 5.0, None):
+        with pytest.raises(SpecError):
+            SearchSpec(bad)  # checked before a width is derived from it
+    with pytest.raises(SpecError):
+        SearchSpec.from_dict({"maxWeight": 5})  # to_dict always writes maxWidth
+    calls = []
+
+    def stub(spec, workers=None):
+        calls.append(spec)
+        return search.SearchResult(spec, (), SearchStats())
+
+    monkeypatch.setattr(search, "enumerate_configurations", stub)
+    report = verify_theorem2(workers=1)
+    verify_theorem1(max_weight=5, workers=1)
+    assert calls == [SearchSpec(5, 50)]
+    assert report.summary.endswith("width <= 50 covers the proved bound 50")
+    assert verify_theorem2(10, workers=1).summary.endswith("width <= 10 is below the proved bound 50")
+    verify_theorem1(workers=1)
+    assert calls == [SearchSpec(5, 50), SearchSpec(5, 10), SearchSpec(4, 40)]
