@@ -31,8 +31,8 @@ from .model import (
     SchemaError,
     StructureError,
     canonicalize,
+    config_dumps,
     config_loads,
-    config_to_dict,
     derive_weight_system,
 )
 from .search import (
@@ -215,7 +215,7 @@ def _cmd_examples(args) -> int:
         return 0
     config = builtin(args.name, *(args.params or ()))
     if args.action == "export":
-        print(json.dumps(config_to_dict(config), indent=2))
+        print(config_dumps(config))
         return 0
     # show
     ws = derive_weight_system(config)
@@ -231,7 +231,7 @@ def _cmd_examples(args) -> int:
 
 def _cmd_project_gkm(args) -> int:
     config = canonicalize(project_gkm(o_gkm_graph(), _parse_ints(args.xi, 2, "--xi")))
-    print(json.dumps(config_to_dict(config), indent=2))
+    print(config_dumps(config))
     return 0
 
 

@@ -8,7 +8,9 @@ arithmetic is exact -- integrality failures are real obstructions, never
 rounding noise.  Classes hold ``fractions.Fraction`` coefficients; the
 Chern expansions run in integers, with the basis scaled by ``a_5`` (every
 ``a_i`` divides it, by duality), and fall back to fractions only to raise
-the error of a row that is not integral or not consistent.
+the error of a row that is not integral or not consistent.  Every function
+here that takes a configuration reads its one cached weight system,
+``Configuration.weight_system``.
 """
 
 from __future__ import annotations
@@ -16,13 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import (
-    DIM,
-    N_POINTS,
-    Configuration,
-    WeightSystem,
-    derive_weight_system,
-)
+from .model import DIM, N_POINTS, Configuration, WeightSystem
 
 
 class CohomologyError(ValueError):
@@ -67,10 +63,6 @@ class EquivariantClass:
 
     def __pow__(self, n: int) -> "EquivariantClass":
         return EquivariantClass(self.degree * n, tuple(x**n for x in self.coeffs))
-
-    def scaled(self, r) -> "EquivariantClass":
-        r = Fraction(r)
-        return EquivariantClass(self.degree, tuple(r * x for x in self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -126,11 +118,8 @@ def ring_presentation(c: Configuration) -> RingPresentation:
     product of the moment gaps down from it.  Raises IntegralityError when
     some 1/q_i is not an integer, DualityError when q_i q_{5-i} != q_5.
     """
-    return _ring_presentation(c, derive_weight_system(c))
-
-
-def _ring_presentation(c: Configuration, ws: WeightSystem) -> RingPresentation:
     phi = c.profile.values
+    ws = c.weight_system
     q = []
     a = []
     for i in range(N_POINTS):
@@ -158,28 +147,21 @@ def _ring_presentation(c: Configuration, ws: WeightSystem) -> RingPresentation:
 
 def equivariant_basis(c: Configuration) -> EquivariantBasis:
     """Build the triangular basis classes and verify their vanishing pattern."""
-    ws = derive_weight_system(c)
-    return _equivariant_basis(c, ws, _ring_presentation(c, ws))
-
-
-def _equivariant_basis(
-    c: Configuration, ws: WeightSystem, rp: RingPresentation
-) -> EquivariantBasis:
+    rp = ring_presentation(c)
     a5 = rp.a[-1]
     classes = tuple(
         EquivariantClass(2 * i, tuple(Fraction(x, a5) for x in row))
-        for i, row in enumerate(_scaled_basis(c, ws, rp))
+        for i, row in enumerate(_scaled_basis(c, rp))
     )
-    return EquivariantBasis(classes, rp.a, ws.lam_minus)
+    return EquivariantBasis(classes, rp.a, c.weight_system.lam_minus)
 
 
-def _scaled_basis(
-    c: Configuration, ws: WeightSystem, rp: RingPresentation
-) -> list[list[int]]:
+def _scaled_basis(c: Configuration, rp: RingPresentation) -> list[list[int]]:
     """``a_5`` times the basis restrictions: ``rows[i][p]`` is
     ``(a_5 / a_i) prod_{j<i} (phi_j - phi_p)``, an integer because duality
     gives ``a_5 / a_i = a_{5-i}``."""
     phi = c.profile.values
+    ws = c.weight_system
     a5 = rp.a[-1]
     rows = []
     for i in range(N_POINTS):
@@ -255,16 +237,16 @@ def expand_in_basis(
 
 def total_chern(c: Configuration) -> ChernReport:
     """Expand every equivariant Chern class; the diagonal gives the ordinary ones."""
-    ws = derive_weight_system(c)
-    return _total_chern(c, ws, _ring_presentation(c, ws))
+    return _total_chern(c, ring_presentation(c))
 
 
-def _total_chern(c: Configuration, ws: WeightSystem, rp: RingPresentation) -> ChernReport:
+def _total_chern(c: Configuration, rp: RingPresentation) -> ChernReport:
     """:func:`expand_in_basis` of each Chern class, in integers scaled by
     ``a_5``; a row that is not integral or not consistent is expanded again
     in fractions, which raises the error that row owes."""
+    ws = c.weight_system
     a5 = rp.a[-1]
-    basis = _scaled_basis(c, ws, rp)
+    basis = _scaled_basis(c, rp)
     rows = []
     for m in range(1, DIM + 1):
         x = [a5 * elementary_symmetric(w, m) for w in ws.weights]
@@ -281,7 +263,7 @@ def _total_chern(c: Configuration, ws: WeightSystem, rp: RingPresentation) -> Ch
         else:
             rows.append(tuple(d))
             continue
-        basis_q = _equivariant_basis(c, ws, rp)
+        basis_q = equivariant_basis(c)
         rows.append(expand_in_basis(chern_restrictions(ws, m), basis_q, require_integral=True))
     ordinary = tuple(rows[m - 1][m] for m in range(1, DIM + 1))
     if ordinary[-1] != N_POINTS:
@@ -306,9 +288,9 @@ def localize_integral(x: EquivariantClass, ws: WeightSystem) -> Fraction:
 
 def cohomology_report(c: Configuration) -> dict:
     """Ring, Chern and localization summary in the report JSON shape."""
-    ws = derive_weight_system(c)
-    rp = _ring_presentation(c, ws)
-    chern = _total_chern(c, ws, rp)
+    ws = c.weight_system
+    rp = ring_presentation(c)
+    chern = _total_chern(c, rp)
     omega5 = localize_integral(u_tilde(c) ** DIM, ws)
     euler = localize_integral(chern_restrictions(ws, DIM), ws)
     return {

@@ -32,11 +32,10 @@ from .model import (
     N_POINTS,
     PAIRS,
     Configuration,
+    StructureError,
     WeightSystem,
     _components,
     _has_edge,
-    _unfold,
-    derive_weight_system,
     isotropy_orders,
     structure_problems,
 )
@@ -238,18 +237,17 @@ def _walk(c: Configuration, effective: bool | None):
     The order is structure, extremal edges, c1, divisibility, global
     balance, then one flat pass per isotropy order over its components
     (regularity, balance and mod-k of each), then the gamma relation and
-    effectiveness.  Structure is checked once,
-    and the weight system is unfolded once, after structure and the
-    extremal edges are walked.  Returns the first-Chern multiple, or
-    ``None`` when undefined.
+    effectiveness.  The weight system is ``c.weight_system``, whose
+    ``StructureError`` stands for the Structure violations.  Returns the
+    first-Chern multiple, or ``None`` when undefined.
     """
-    problems = structure_problems(c)
-    if problems:
-        for p in problems:
+    try:
+        ws = c.weight_system
+    except StructureError:
+        for p in structure_problems(c):
             yield Violation("Structure", vertices=tuple(range(N_POINTS)), detail=p)
         return None
     yield from _iter_extremal(c)
-    ws = _unfold(c)
     c1 = _c1_of(c, ws)
     if isinstance(c1, Violation):
         yield c1
@@ -319,7 +317,7 @@ def compute_c1(c: Configuration) -> int | Violation:
     ``[1, 6]``; otherwise a C1Consistency violation describing the first
     offending pair is returned.
     """
-    return _c1_of(c, derive_weight_system(c))
+    return _c1_of(c, c.weight_system)
 
 
 def check_all(c: Configuration, effective: bool | None = None) -> CheckReport:

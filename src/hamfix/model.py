@@ -20,6 +20,10 @@ weights, increasing moment values).  Slot-count structure is checked by
 :func:`validate_structure`, and everything else (divisibility, mod-k
 consistency, ...) is reported by the ``constraints`` module so that invalid
 data remains representable and inspectable.
+
+The :class:`WeightSystem` every check and invariant reads is derived once
+per configuration, by the cached ``Configuration.weight_system``; a failed
+derivation (a :class:`StructureError`) is not cached.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, prod
 
 N_POINTS = 6
@@ -109,7 +114,8 @@ class Configuration:
 
     Edges are normalized on construction: parallel edges with equal weight
     are merged into one entry and the tuple is sorted by ``(lo, hi, w)``,
-    which makes equality, hashing and serialization canonical.
+    which makes equality, hashing and serialization canonical.  The cached
+    :attr:`weight_system` is not a field, so it takes no part in either.
     """
 
     profile: MomentProfile
@@ -138,6 +144,26 @@ class Configuration:
         for e in self.edges:
             g = gcd(g, e.w)
         return g
+
+    @cached_property
+    def weight_system(self) -> "WeightSystem":
+        """The edge multiset unfolded into per-vertex signed weight multisets.
+
+        Derived on first read and cached; raises :class:`StructureError`,
+        which is not cached, when the slot counts are wrong.
+        """
+        validate_structure(self)
+        signed: list[list[int]] = [[] for _ in range(N_POINTS)]
+        for e in self.edges:
+            signed[e.lo].extend([e.w] * e.mult)
+            signed[e.hi].extend([-e.w] * e.mult)
+        weights = tuple([tuple(sorted(ws)) for ws in signed])
+        return WeightSystem(
+            weights,
+            tuple([sum(ws) for ws in weights]),
+            tuple([prod([w for w in ws if w < 0]) for ws in weights]),
+            tuple([prod(ws) for ws in weights]),
+        )
 
 
 @dataclass(frozen=True)
@@ -215,38 +241,19 @@ def validate_structure(c: Configuration) -> None:
 
 
 def derive_weight_system(c: Configuration) -> WeightSystem:
-    """Unfold the edge multiset into per-vertex signed weight multisets."""
-    validate_structure(c)
-    return _unfold(c)
+    """Unfold the edge multiset into per-vertex signed weight multisets:
+    ``c.weight_system``, derived once per configuration."""
+    return c.weight_system
 
 
-def _unfold(c: Configuration) -> WeightSystem:
-    """:func:`derive_weight_system` for a ``c`` whose structure is checked."""
-    signed: list[list[int]] = [[] for _ in range(N_POINTS)]
-    for e in c.edges:
-        signed[e.lo].extend([e.w] * e.mult)
-        signed[e.hi].extend([-e.w] * e.mult)
-    weights = tuple([tuple(sorted(ws)) for ws in signed])
-    return WeightSystem(
-        weights,
-        tuple([sum(ws) for ws in weights]),
-        tuple([prod([w for w in ws if w < 0]) for ws in weights]),
-        tuple([prod(ws) for ws in weights]),
-    )
-
-
-def isotropy_components(
-    c: Configuration, k: int, ws: WeightSystem | None = None
-) -> list[IsotropyComponent]:
+def isotropy_components(c: Configuration, k: int) -> list[IsotropyComponent]:
     """Connected components of the subgraph of edges whose weight ``k`` divides.
 
-    Components come in order of their lowest vertex.  Passing ``ws``, the
-    weight system of ``c``, skips the structure check it implies.
+    Components come in order of their lowest vertex.
     """
     if k < 2:
         raise ValueError(f"isotropy order must be at least 2, got {k}")
-    if ws is None:
-        validate_structure(c)
+    validate_structure(c)
     comps = []
     for vertices, within, down, edges in _components(c, k):
         counts = tuple(map(within.__getitem__, vertices))

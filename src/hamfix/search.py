@@ -643,6 +643,13 @@ def _weight_systems(configs) -> list[tuple[tuple[int, ...], ...]]:
     return sorted({derive_weight_system(c).weights for c in configs})
 
 
+def _width_clause(spec: SearchSpec) -> str:
+    """The width searched and whether it covers the proved bound."""
+    bound = 2 * DIM * spec.max_weight
+    verdict = "covers" if spec.max_width >= bound else "is below"
+    return f"width <= {spec.max_width} {verdict} the proved bound {bound}"
+
+
 def o_weight_system() -> tuple[tuple[int, ...], ...]:
     from .examples import builtin
 
@@ -658,14 +665,15 @@ def verify_theorem1(
     the extremal weight sums differ by at most that, and by at least the
     first-Chern multiple (>= 1) times the width.  With ``max_weight`` >= 5
     the run demonstrates sharpness instead: the search is nonempty and
-    contains the coadjoint-orbit weight system.
+    contains the coadjoint-orbit weight system.  The summary ends with the
+    width searched and whether it covers that bound.
     """
     res = _pool(SearchSpec(max_weight, max_width), workers)
     systems = res.weight_systems()
     if max_weight <= 4:
         passed = not res.configurations
         summary = (
-            f"no valid configuration with weights <= {max_weight}, width <= {res.spec.max_width}"
+            f"no valid configuration with weights <= {max_weight}"
             if passed
             else f"counterexample found: {len(res.configurations)} configurations"
         )
@@ -677,6 +685,7 @@ def verify_theorem1(
             if passed
             else "coadjoint-orbit weight system missing from the pool"
         )
+    summary += f"; {_width_clause(res.spec)}"
     return TheoremReport(
         "thm1",
         passed,
@@ -739,8 +748,7 @@ def verify_theorem2(max_width: int | None = None, workers: int | None = None) ->
         f"{len(set1)}/{len(set2)}/{len(set3)} members; "
         + ("equivalent" if equal else "NOT equivalent")
         + (", |5| simple at every endpoint" if mult_ok and pairs_ok else ", multiplicity failure")
-        + f"; width <= {res.spec.max_width} "
-        + ("covers" if res.spec.max_width >= 50 else "is below") + " the proved bound 50"
+        + f"; {_width_clause(res.spec)}"
     )
     return TheoremReport(
         "thm2",

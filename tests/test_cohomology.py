@@ -360,7 +360,7 @@ def test_class_algebra(o):
     u = u_tilde(o)
     assert (u * u).degree == 4
     assert (u * u).coeffs == (u**2).coeffs
-    assert u.scaled(Fraction(1, 2)).coeffs[5] == Fraction(-5)
+    assert (u * EquivariantClass(0, (Fraction(1, 2),) * 6)).coeffs[5] == Fraction(-5)
     with pytest.raises(ValueError):
         EquivariantClass(3, (0,) * 6)
     with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from hamfix import (
@@ -11,17 +13,24 @@ from hamfix import (
     SchemaError,
     StructureError,
     WeightEdge,
+    WeightSystem,
     builtin,
     canonicalize,
+    check_all,
+    cohomology_report,
+    compute_c1,
     config_from_dict,
     config_loads,
     config_to_dict,
     derive_weight_system,
     flip,
     isotropy_components,
+    total_chern,
     validate_structure,
 )
-from hamfix.model import isotropy_orders, slot_counts, sort_key
+from hamfix import model
+from hamfix.constraints import is_valid
+from hamfix.model import isotropy_orders, slot_counts, sort_key, structure_problems
 
 
 @pytest.fixture(scope="module")
@@ -91,9 +100,61 @@ def test_missing_edge_is_structure_error(o):
         o.profile, tuple(e for e in o.edges if (e.lo, e.hi) != (1, 2))
     )
     with pytest.raises(StructureError):
-        derive_weight_system(broken)
-    with pytest.raises(StructureError):
         validate_structure(broken)
+    # a failed derivation is not cached: every read raises, and the rule
+    # walk still lists each slot-count problem
+    problems = structure_problems(broken)
+    assert len(problems) == 3
+    for _ in range(2):
+        with pytest.raises(StructureError):
+            broken.weight_system
+        with pytest.raises(StructureError):
+            derive_weight_system(broken)
+        report = check_all(broken)
+        assert not report.passed and report.c1 is None
+        assert [v.rule for v in report.violations] == ["Structure"] * len(problems)
+        assert sorted(v.detail for v in report.violations) == sorted(problems)
+        assert not is_valid(broken)
+
+
+def test_weight_system_is_derived_once(monkeypatch):
+    built = []
+
+    def counting(*fields):
+        built.append(fields)
+        return WeightSystem(*fields)
+
+    monkeypatch.setattr(model, "WeightSystem", counting)
+    c = builtin("o")
+    assert derive_weight_system(c) is derive_weight_system(c)
+    check_all(c)
+    assert is_valid(c)
+    assert compute_c1(c) == 3
+    total_chern(c)
+    cohomology_report(c)
+    assert len(built) == 1
+
+
+def test_cached_weight_system_leaves_equality_and_hash(fixtures):
+    for c in fixtures:
+        fresh = Configuration(c.profile, c.edges, label=c.label, effective=c.effective)
+        filled = Configuration(c.profile, c.edges, label=c.label, effective=c.effective)
+        filled.weight_system
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh)
+        assert len({filled, fresh}) == 1
+
+
+def test_pickle_round_trip_keeps_the_weight_system(fixtures):
+    # pool workers return their configurations pickled
+    for base in fixtures:
+        for filled in (False, True):
+            c = Configuration(base.profile, base.edges, label=base.label, effective=base.effective)
+            if filled:
+                c.weight_system
+            back = pickle.loads(pickle.dumps(c))
+            assert back == c and hash(back) == hash(c)
+            assert back.weight_system == c.weight_system
 
 
 def test_slot_round_trip(fixtures):
@@ -231,11 +292,9 @@ def test_isotropy_components_match_reference(mutant_corpus):
         assert orders == [
             k for k in range(2, c.max_weight() + 1) if any(e.w % k == 0 for e in c.edges)
         ], c.label
-        ws = derive_weight_system(c)
         for k in orders:
             expected = _isotropy_components_reference(c, k)
             assert isotropy_components(c, k) == expected, (c.label, k)
-            assert isotropy_components(c, k, ws=ws) == expected, (c.label, k)
             checked += len(expected)
     assert checked == 39341
 

@@ -346,6 +346,7 @@ def test_verify_theorem1_narrow_slice():
     report = verify_theorem1(max_width=12, workers=1)
     assert report.passed
     assert report.data["configurations"] == 0
+    assert report.summary.endswith("width <= 12 is below the proved bound 40")
 
 
 def test_theorem4_parametric_weight_systems():
@@ -480,5 +481,8 @@ def test_default_width_is_the_proved_bound(cold_pool, monkeypatch):
     assert calls == [SearchSpec(5, 50)]
     assert report.summary.endswith("width <= 50 covers the proved bound 50")
     assert verify_theorem2(10, workers=1).summary.endswith("width <= 10 is below the proved bound 50")
-    verify_theorem1(workers=1)
+    thm1 = verify_theorem1(workers=1)
     assert calls == [SearchSpec(5, 50), SearchSpec(5, 10), SearchSpec(4, 40)]
+    assert thm1.summary == (
+        "no valid configuration with weights <= 4; width <= 40 covers the proved bound 40"
+    )
