@@ -91,15 +91,21 @@ class CheckReport:
 
 def _iter_divisibility(c: Configuration, ws: WeightSystem):
     phi = c.profile.values
+    dividing = True
     for e in c.edges:
         gap = phi[e.hi] - phi[e.lo]
         if gap % e.w != 0:
+            dividing = False
             yield Violation(
                 "Divisibility",
                 vertices=(e.lo, e.hi),
                 edges=((e.lo, e.hi, e.w),),
                 detail=f"weight {e.w} does not divide moment gap {gap}",
             )
+    if dividing:
+        # each +-w at v is carried by an edge that divides its own gap, a gap
+        # from v to a higher or lower vertex, so the pass below cannot fire
+        return
     for v in range(N_POINTS):
         down = [phi[v] - phi[q] for q in range(v)]
         up = [phi[q] - phi[v] for q in range(v + 1, N_POINTS)]

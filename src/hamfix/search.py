@@ -14,15 +14,17 @@ Search order: gap vector first, then edge cells in lexicographic pair order
 its upward cells, each vertex's weight sum closes at a known cell, which is
 where the weight-sum (first-Chern) targets are enforced.  The engine is
 plain functions: ``_search_gap`` searches one gap vector.  A gap vector that
-survives the extremal and weight-sum tests gets a cell plan: one tuple per
-cell holding its allowed weights, whether it closes a vertex's upward or
-downward slots, and the weight bounds of the cells still open at its two
-vertices, so the nested ``dfs`` closure reads everything it needs at a cell
-from one entry and keeps its slot and weight-sum state in local lists.  A
-complete leaf goes to ``_leaf``, a pure gate that returns the configuration
-or ``None``; ``_search_gap`` counts the rejected leaves and sends every
-accepted one to the sink.  Four pruning rules can be toggled off
-independently, in which case the same final set is produced by brute force:
+survives the extremal and weight-sum tests gets a cell plan per floor: one
+tuple per cell holding its multiset tables by slot count (filled from the
+chunk's memo on first use), whether it closes a vertex's upward or downward
+slots, and the weight bounds of the cells still open at its two vertices,
+so the nested ``dfs`` closure reads everything it needs at a cell from one
+entry, keeps its slot and weight-sum state in local lists and its counters
+in local ints.  A complete leaf goes to ``_leaf``, a pure gate that returns
+the configuration or ``None``; ``_search_gap`` counts the rejected leaves
+and sends every accepted one to the sink.  Four pruning rules can be
+toggled off independently, in which case the same final set is produced by
+brute force:
 
 * ``divisibility`` -- restrict cell weights to divisors of the moment gap;
 * ``extremal``      -- force the two extremal edges to carry the full gap;
@@ -307,16 +309,35 @@ def _span(bound, ws):
     return (min(bound[0], ws[0]), max(bound[1], ws[-1]))
 
 
-def _cell_plan(table: dict, floor: int) -> tuple:
+class _Tables(dict):
+    """``tables[m]``: ``_multisets_by_sum`` of one cell's allowed weights for m
+    slots under the plan's floor, looked up in the memo on first use."""
+
+    __slots__ = ("memo", "allowed", "wm")
+
+    def __init__(self, memo: dict, allowed: tuple[int, ...], wm: int) -> None:
+        self.memo, self.allowed, self.wm = memo, allowed, wm
+
+    def __missing__(self, m: int):
+        got = self[m] = _multisets_by_sum(self.memo, self.allowed, m, self.wm)
+        return got
+
+
+def _cell_plan(table: dict, floor: int, memo: dict) -> tuple:
     """One entry per cell (i, j) of ``PAIRS``, everything the DFS reads at that cell.
 
-    An entry is ``(i, j, allowed, last_up, last_down, row_rest, up_j, down_rest)``:
-    the cell's allowed weights from ``table`` that are at least ``floor``;
-    whether it is the last upward cell of i and the last downward cell of
-    j; and the (min, max) allowed weight over the cells after j in row i,
-    over row j's upward cells, and over j's downward cells from rows after
-    i.  A bound over cells with no allowed weight is (0, 0).  Under a floor
-    a cell's allowed weights may be empty (a gap of 2 at floor 3); an empty
+    An entry is ``(i, j, tables, last_up, last_down, row_lo, row_hi, up_j_lo,
+    up_j_hi, down_lo, down_hi)``.  ``tables[m]``, for m = 0..min(DIM - i, j),
+    is the ``(sums, msets, counts)`` table of the cell's allowed weights from
+    ``table`` that are at least ``floor``, with ``counts`` counting ``floor``;
+    it is filled from ``memo`` on the cell's first use of m within the plan,
+    as most plans reach few of their cells.  Then come whether the cell is
+    the last upward cell of i and the last downward cell of j; the (min, max)
+    allowed weight over the cells after j in row i; the least and most weight
+    sum j's DIM - j upward slots can carry, all still open at (i, j); and the
+    (min, max) allowed weight over j's downward cells from rows after i.  A
+    bound over cells with no allowed weight is (0, 0).  Under a floor a
+    cell's allowed weights may be empty (a gap of 2 at floor 3); an empty
     cell that still has slots to fill yields no multiset, so no leaf lies
     below such a bound and any window computed over it is sound.
     """
@@ -329,19 +350,27 @@ def _cell_plan(table: dict, floor: int) -> tuple:
         below[(i, j)] = _span(below.get((i + 1, j)), allowed.get((i + 1, j)))
     row = [_span(after.get((v, v + 1)), allowed.get((v, v + 1))) for v in range(N_POINTS)]
     none = (0, 0)
-    return tuple(
-        (
-            i,
-            j,
-            allowed[(i, j)],
-            j == N_POINTS - 1,
-            i == j - 1,
-            after[(i, j)] or none,
-            row[j] or none,
-            below[(i, j)] or none,
+    plan = []
+    for i, j in PAIRS:
+        row_lo, row_hi = after[(i, j)] or none
+        j_lo, j_hi = row[j] or none
+        down_lo, down_hi = below[(i, j)] or none
+        plan.append(
+            (
+                i,
+                j,
+                _Tables(memo, allowed[(i, j)], floor),
+                j == N_POINTS - 1,
+                i == j - 1,
+                row_lo,
+                row_hi,
+                (DIM - j) * j_lo,
+                (DIM - j) * j_hi,
+                down_lo,
+                down_hi,
+            )
         )
-        for i, j in PAIRS
-    )
+    return tuple(plan)
 
 
 def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sink, memo) -> None:
@@ -364,6 +393,12 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
     ``dfs(ci)`` works from ``plan[ci]`` alone; with targets active, each cell
     keeps only the multisets whose sum leaves both endpoint vertices able to
     reach their targets with the slots they have left.
+
+    ``dfs`` counts in local ints: ``nodes`` starts from ``stats.nodes``, so
+    the node limit is tested against the running total, and the
+    ``gamma``/``slot``/``balance``/``final`` counts start from 0.  They are
+    written back to ``stats`` once, when the gap vector's walks end or a
+    ``BudgetExceeded`` leaves them.
     """
     pruned = stats.pruned
     maxw = spec.max_weight
@@ -391,59 +426,72 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
     psum = [0] * N_POINTS
     plus = [0] * N_POINTS
     minus = [0] * N_POINTS
-    acc: list = []
+    acc: list = [None] * n_cells
+    nodes = stats.nodes
+    n_gamma = n_slot = n_balance = n_final = 0
 
     def dfs(ci: int) -> None:
+        nonlocal nodes, n_gamma, n_slot, n_balance, n_final
         if ci == n_cells:
             config = _leaf(spec, profile, acc)
             if config is None:
-                pruned["final"] += 1
+                n_final += 1
             else:
                 sink.append(config)
             return
-        i, j, allowed, last_up, last_down, row_rest, up_j, down_rest = plan[ci]
-        if last_up and last_down:
-            if up[i] != down[j]:
-                pruned["slot"] += 1
+        i, j, tables, last_up, last_down, row_lo, row_hi, up_j_lo, up_j_hi, down_lo, down_hi = (
+            plan[ci]
+        )
+        ui, dj = up[i], down[j]
+        if last_up:
+            if ui > dj or (last_down and ui != dj):
+                n_slot += 1
                 return
-            m_choices = (up[i],)
-        elif last_up:
-            if up[i] > down[j]:
-                pruned["slot"] += 1
-                return
-            m_choices = (up[i],)
-        elif last_down:
-            if down[j] > up[i]:
-                pruned["slot"] += 1
-                return
-            m_choices = (down[j],)
+            m_lo = m_hi = ui
         else:
-            m_choices = range(min(up[i], down[j]) + 1)
-        down_tail = sum(down[j + 1 :])
+            if last_down:
+                if dj > ui:
+                    n_slot += 1
+                    return
+                m_lo = m_hi = dj
+            else:
+                m_lo, m_hi = 0, (ui if ui < dj else dj)
+            # an m below short leaves i more upward slots than the vertices
+            # after j have downward slots left
+            short = ui - sum(down[j + 1 :])
+            if short > m_lo:
+                cut = (short if short <= m_hi else m_hi + 1) - m_lo
+                n_slot += cut
+                m_lo += cut
+        if targets is not None:
+            # the cell's weight sum must leave both vertices able to reach
+            # their targets with the slots they have left
+            need_i = targets[i] - psum[i]
+            need_j = psum[j] - targets[j]
+            j_lo, j_hi = need_j + up_j_lo, need_j + up_j_hi
+        pi, pj = psum[i], psum[j]
+        plus_i, minus_j = plus[i], minus[j]
         # the wm slots i + 1 receives beyond those i has sent so far
-        owed = minus[i + 1] - plus[i]
-        for m in m_choices:
-            if up[i] - m > down_tail:
-                pruned["slot"] += 1
-                continue
-            sums, msets, counts = _multisets_by_sum(memo, allowed, m, wm)
-            a, b = 0, len(sums)
+        owed = minus[i + 1] - plus_i
+        nxt = ci + 1
+        for m in range(m_lo, m_hi + 1):
+            rest_i = ui - m
+            sums, msets, counts = tables[m]
+            a = 0
+            b = n_sets = len(sums)
             if targets is not None:
-                # the cell's weight sum must leave both vertices able to reach
-                # their targets with the slots they have left
-                rest_i, rest_j = up[i] - m, down[j] - m
-                need_i, need_j = targets[i] - psum[i], psum[j] - targets[j]
-                lo = max(
-                    need_i - rest_i * row_rest[1],
-                    need_j + up[j] * up_j[0] - rest_j * down_rest[1],
-                )
-                hi = min(
-                    need_i - rest_i * row_rest[0],
-                    need_j + up[j] * up_j[1] - rest_j * down_rest[0],
-                )
+                rest_j = dj - m
+                lo = need_i - rest_i * row_hi
+                x = j_lo - rest_j * down_hi
+                if x > lo:
+                    lo = x
+                hi = need_i - rest_i * row_lo
+                x = j_hi - rest_j * down_lo
+                if x < hi:
+                    hi = x
                 a = bisect_left(sums, lo)
                 b = bisect_right(sums, hi)
-                pruned["gamma"] += len(sums) - max(b - a, 0)  # multisets cut
+                n_gamma += n_sets - (b - a if b > a else 0)  # multisets cut
                 if a >= b:
                     continue
             # the cell's wm count c must leave owed - c (owed itself at
@@ -451,48 +499,51 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
             # slots row i's later cells can still take
             c_lo, c_hi = 0, m
             if balance:
-                room = up[i] - m if row_rest[0] == wm else 0
+                room = rest_i if row_lo == wm else 0
                 if not last_down:
                     c_lo, c_hi = owed - room, owed
                 elif not 0 <= owed <= room:
-                    pruned["balance"] += b - a
+                    n_balance += b - a
                     continue
                 elif last_up and not any(plus):
                     c_lo = 1  # the leaf's only chance of a wm slot
-            up[i] -= m
-            down[j] -= m
+            up[i] = rest_i
+            down[j] = dj - m
             for k in range(a, b):
                 c = counts[k]
                 if c < c_lo or c > c_hi:
-                    pruned["balance"] += 1
+                    n_balance += 1
                     continue
-                stats.nodes += 1
-                if limit is not None and stats.nodes > limit:
+                nodes += 1
+                if limit is not None and nodes > limit:
                     raise BudgetExceeded(f"node limit {limit} exceeded")
                 s = sums[k]
-                psum[i] += s
-                psum[j] -= s
-                plus[i] += c
-                minus[j] += c
-                acc.append((i, j, msets[k]))
-                dfs(ci + 1)
-                acc.pop()
-                psum[i] -= s
-                psum[j] += s
-                plus[i] -= c
-                minus[j] -= c
-            up[i] += m
-            down[j] += m
+                psum[i] = pi + s
+                psum[j] = pj - s
+                plus[i] = plus_i + c
+                minus[j] = minus_j + c
+                acc[ci] = (i, j, msets[k])
+                dfs(nxt)
+            up[i], down[j] = ui, dj
+            psum[i], psum[j] = pi, pj
+            plus[i], minus[j] = plus_i, minus_j
 
-    for n, wm in enumerate(floors):
-        if n and spec.prune_gamma:
-            candidates = _gamma_targets(spec, phi, wm)
-            if not candidates:
-                pruned["gamma"] += len(floors) - n  # every floor from wm up
-                break
-        plan = _cell_plan(table, wm)
-        for targets in candidates:
-            dfs(0)
+    try:
+        for n, wm in enumerate(floors):
+            if n and spec.prune_gamma:
+                candidates = _gamma_targets(spec, phi, wm)
+                if not candidates:
+                    pruned["gamma"] += len(floors) - n  # every floor from wm up
+                    break
+            plan = _cell_plan(table, wm, memo)
+            for targets in candidates:
+                dfs(0)
+    finally:
+        stats.nodes = nodes
+        pruned["gamma"] += n_gamma
+        pruned["slot"] += n_slot
+        pruned["balance"] += n_balance
+        pruned["final"] += n_final
 
 
 def _leaf(spec: SearchSpec, profile: MomentProfile, acc) -> Configuration | None:
@@ -501,7 +552,9 @@ def _leaf(spec: SearchSpec, profile: MomentProfile, acc) -> Configuration | None
     pruning off), ``is_valid``, a filter, or Chern integrality."""
     if not spec.prune_balance and not _leaf_balanced(acc):
         return None
-    edges = tuple(WeightEdge(i, j, w) for i, j, weights in acc for w in weights)
+    edges = tuple(
+        WeightEdge(i, j, w, weights.count(w)) for i, j, weights in acc for w in set(weights)
+    )
     config = Configuration(profile, edges, effective=spec.require_effective)
     if (
         not is_valid(config)

@@ -22,8 +22,14 @@ from hamfix import (
     derive_weight_system,
     flip,
 )
-from hamfix.constraints import C1_MAX, C1_MIN, _iter_gamma_relation, is_valid
-from hamfix.model import PAIRS
+from hamfix.constraints import (
+    C1_MAX,
+    C1_MIN,
+    _iter_divisibility,
+    _iter_gamma_relation,
+    is_valid,
+)
+from hamfix.model import DIM, N_POINTS, PAIRS
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +73,78 @@ def test_divisibility_violation(o):
     bad = mutate_edge(o, 0, 2, 4, 3)  # gap 4, weight 3
     vs = violations(bad, "Divisibility")
     assert any(v.rule == "Divisibility" and (0, 2, 3) in v.edges for v in vs)
+
+
+def _divisibility_reference(c, ws):
+    """The two-pass divisibility rule: every edge, then every vertex."""
+    phi = c.profile.values
+    for e in c.edges:
+        gap = phi[e.hi] - phi[e.lo]
+        if gap % e.w != 0:
+            yield Violation(
+                "Divisibility",
+                vertices=(e.lo, e.hi),
+                edges=((e.lo, e.hi, e.w),),
+                detail=f"weight {e.w} does not divide moment gap {gap}",
+            )
+    for v in range(N_POINTS):
+        down = [phi[v] - phi[q] for q in range(v)]
+        up = [phi[q] - phi[v] for q in range(v + 1, N_POINTS)]
+        for w in set(ws.weights[v]):
+            for gap in (down if w < 0 else up):
+                if gap % w == 0:
+                    break
+            else:
+                side = "lower" if w < 0 else "higher"
+                yield Violation(
+                    "Divisibility",
+                    vertices=(v,),
+                    detail=f"weight {w} at vertex {v} divides no gap to a {side} vertex",
+                )
+
+
+def _random_slot_configurations(n, seed):
+    """``n`` seeded slot-respecting configurations: vertex j's j downward slots
+    take random open upward slots of lower vertices, and each edge's weight
+    divides its gap (in half of them) or is drawn from 1..8."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(n):
+        gaps = [rng.randint(1, 6) for _ in range(DIM)]
+        profile = MomentProfile.from_gaps(gaps)
+        phi = profile.values
+        open_up = [v for v in range(N_POINTS) for _ in range(DIM - v)]
+        edges = []
+        for j in range(1, N_POINTS):
+            for _ in range(j):
+                lo = open_up.pop(rng.choice([p for p, v in enumerate(open_up) if v < j]))
+                gap = phi[j] - phi[lo]
+                if k % 2:
+                    w = rng.randint(1, 8)
+                else:
+                    w = rng.choice([d for d in range(1, gap + 1) if gap % d == 0])
+                edges.append(WeightEdge(lo, j, w))
+        out.append(Configuration(profile, tuple(edges)))
+    return out
+
+
+def test_divisibility_shortcut_matches_two_pass_reference(mutant_corpus):
+    # the per-vertex pass is skipped when every edge divides its own gap;
+    # the full two-pass rule must give the same violations, in the same order
+    kinds = {"all edges divide": 0, "some edge does not": 0, "a vertex pass fires": 0}
+    for c in mutant_corpus + _random_slot_configurations(2400, 20241019):
+        ws = c.weight_system
+        got = list(_iter_divisibility(c, ws))
+        want = list(_divisibility_reference(c, ws))
+        assert got == want, c
+        phi = c.profile.values
+        if all((phi[e.hi] - phi[e.lo]) % e.w == 0 for e in c.edges):
+            kinds["all edges divide"] += 1
+        else:
+            kinds["some edge does not"] += 1
+        if any(not v.edges for v in want):
+            kinds["a vertex pass fires"] += 1
+    assert all(kinds.values()), kinds
 
 
 # -- mod-k congruence --------------------------------------------------------

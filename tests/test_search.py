@@ -283,6 +283,8 @@ def test_full_brute_force_equivalence_tiny():
     )
     assert pruned.configurations == brute.configurations
     assert brute.stats.nodes >= pruned.stats.nodes
+    # the DFS without targets, with the raw leaf screen on
+    assert brute.stats.to_dict() == _stats(11784, 0, 0, 412, 0, 1564)
 
 
 def test_import_loads_no_process_pool():
