@@ -324,8 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "examples" and args.action in ("show", "export") and not args.name:
-        parser.error("examples show/export requires a builtin name")
+    if args.command == "examples":
+        if args.action == "list" and args.name:
+            parser.error("examples list takes no builtin name")
+        if args.action != "list" and not args.name:
+            parser.error("examples show/export requires a builtin name")
     try:
         return args.func(args)
     except (SchemaError, ParamError, SpecError, DegenerateDirection, StructureError) as exc:

@@ -15,10 +15,10 @@ only that its vertices have equally many such weights.
 
 One ordered walk over the rules yields the violations:
 :func:`check_all` collects all of them into a report, and :func:`is_valid`
-stops at the first one for the enumeration hot path.  The walk takes each
-isotropy order in one flat pass over the plain component tuples of
-``model._components``, checking regularity, balance and mod-k congruence
-per component and building a :class:`Violation` only when a rule fires.
+stops at the first one for the enumeration hot path.  Its isotropy-component
+pass, :func:`_iter_components`, reads only plain ``(lo, hi, w, mult)`` edges
+and per-vertex signed weights, so the search runs the same rules on a leaf's
+raw cells before it builds any object.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from .model import (
     WeightSystem,
     _components,
     _has_edge,
-    isotropy_orders,
+    _orders,
+    _plain_edges,
     structure_problems,
 )
 
@@ -69,6 +70,9 @@ class Violation:
 
 
 _ORDER = attrgetter("rule", "vertices", "edges", "detail")
+
+#: every vertex, each its own global index level
+_VERTICES = tuple(range(N_POINTS))
 
 
 @dataclass(frozen=True)
@@ -122,22 +126,23 @@ def _iter_divisibility(c: Configuration, ws: WeightSystem):
                 )
 
 
-def _iter_balance(edges, lam_of, dim: int, k: int | None, vertices):
+def _iter_balance(edges, level, dim: int, k: int | None, vertices):
     """Smallest-weight pairing balance across index levels.
 
-    With w the smallest weight among ``edges``, the number of ``-w`` slots
-    at points of index level m+1 must equal the number of ``+w`` slots at
-    level m.  ``lam_of`` maps each endpoint to its level in ``0..dim``.
+    With w the smallest weight among the plain ``(lo, hi, w, mult)``
+    ``edges``, the number of ``-w`` slots at points of index level m+1 must
+    equal the number of ``+w`` slots at level m.  ``level[v]`` is vertex
+    v's level in ``0..dim``.
     """
     if not edges:
         return
-    wmin = min([e.w for e in edges])
+    wmin = min([e[2] for e in edges])
     plus = [0] * (dim + 1)
     minus = [0] * (dim + 1)
-    for e in edges:
-        if e.w == wmin:
-            plus[lam_of(e.lo)] += e.mult
-            minus[lam_of(e.hi)] += e.mult
+    for lo, hi, w, m in edges:
+        if w == wmin:
+            plus[level[lo]] += m
+            minus[level[hi]] += m
     for m in range(dim):
         if plus[m] != minus[m + 1]:
             scope = "globally" if k is None else f"in the k={k} component {vertices}"
@@ -233,36 +238,20 @@ def _iter_effectiveness(c: Configuration):
         )
 
 
-# ---------------------------------------------------------------------------
-# the rule walk behind check_all and is_valid
+def _iter_components(edges, weights):
+    """The isotropy-component pass of the rule walk, on plain data.
 
-
-def _walk(c: Configuration, effective: bool | None):
-    """Yield every violation of ``c``, cheap and lethal rules first.
-
-    The order is structure, extremal edges, c1, divisibility, global
-    balance, then one flat pass per isotropy order over its components
-    (regularity, balance and mod-k of each), then the gamma relation and
-    effectiveness.  The weight system is ``c.weight_system``, whose
-    ``StructureError`` stands for the Structure violations.  Returns the
-    first-Chern multiple, or ``None`` when undefined.
+    ``edges`` are ``(lo, hi, w, mult)`` tuples and ``weights[v]`` holds the
+    signed weights at vertex v in any order.  For each isotropy order k (the
+    k >= 2 dividing an edge weight, ascending), one flat pass over the
+    components of the k-divisible edges checks the regularity, index bound,
+    smallest-weight balance and mod-k congruence of each, building a
+    :class:`Violation` only when a rule fires.  The rule walk runs it on a
+    configuration; the search runs it on a leaf's cells before building any
+    object.
     """
-    try:
-        ws = c.weight_system
-    except StructureError:
-        for p in structure_problems(c):
-            yield Violation("Structure", vertices=tuple(range(N_POINTS)), detail=p)
-        return None
-    yield from _iter_extremal(c)
-    c1 = _c1_of(c, ws)
-    if isinstance(c1, Violation):
-        yield c1
-        c1 = None
-    yield from _iter_divisibility(c, ws)
-    yield from _iter_balance(c.edges, lambda v: v, DIM, None, tuple(range(N_POINTS)))
-    weights = ws.weights
-    for k in isotropy_orders(c):
-        for vertices, within, down, edges in _components(c, k):
+    for k in _orders({e[2] for e in edges}):
+        for vertices, within, down, kedges in _components(edges, k):
             counts = [within[v] for v in vertices]
             d = counts[0]
             if counts.count(d) != len(counts):
@@ -297,7 +286,7 @@ def _walk(c: Configuration, effective: bool | None):
                             detail=f"k={k} component {vertices}: vertex {v} has index level "
                             f"{down[v]} with only {p} lower vertices in the component",
                         )
-                yield from _iter_balance(edges, down.__getitem__, d, k, vertices)
+                yield from _iter_balance(kedges, down, d, k, vertices)
             base = vertices[0]
             base_res = sorted([w % k for w in weights[base]])
             for v in vertices[1:]:
@@ -309,6 +298,37 @@ def _walk(c: Configuration, effective: bool | None):
                         detail=f"weights at {base} and {v} differ mod {k}: "
                         f"{tuple(base_res)} vs {tuple(res)}",
                     )
+
+
+# ---------------------------------------------------------------------------
+# the rule walk behind check_all and is_valid
+
+
+def _walk(c: Configuration, effective: bool | None):
+    """Yield every violation of ``c``, cheap and lethal rules first.
+
+    The order is structure, extremal edges, c1, divisibility, global
+    balance, then the isotropy-component pass over the plain edges, then
+    the gamma relation and effectiveness.  The weight system is
+    ``c.weight_system``, whose ``StructureError`` stands for the Structure
+    violations.  Returns the first-Chern multiple, or ``None`` when
+    undefined.
+    """
+    try:
+        ws = c.weight_system
+    except StructureError:
+        for p in structure_problems(c):
+            yield Violation("Structure", vertices=tuple(range(N_POINTS)), detail=p)
+        return None
+    yield from _iter_extremal(c)
+    c1 = _c1_of(c, ws)
+    if isinstance(c1, Violation):
+        yield c1
+        c1 = None
+    yield from _iter_divisibility(c, ws)
+    edges = _plain_edges(c)
+    yield from _iter_balance(edges, _VERTICES, DIM, None, _VERTICES)
+    yield from _iter_components(edges, ws.weights)
     if c1 is not None:
         yield from _iter_gamma_relation(c, ws, c1)
     if c.effective if effective is None else effective:

@@ -255,7 +255,7 @@ def isotropy_components(c: Configuration, k: int) -> list[IsotropyComponent]:
         raise ValueError(f"isotropy order must be at least 2, got {k}")
     validate_structure(c)
     comps = []
-    for vertices, within, down, edges in _components(c, k):
+    for vertices, within, down, edges in _components(_plain_edges(c), k):
         counts = tuple(map(within.__getitem__, vertices))
         comps.append(
             IsotropyComponent(
@@ -265,27 +265,32 @@ def isotropy_components(c: Configuration, k: int) -> list[IsotropyComponent]:
                 within_down=tuple(map(down.__getitem__, vertices)),
                 divisible_count=counts,
                 saturated=True,
-                edges=edges,
+                edges=tuple(WeightEdge(*e) for e in edges),
             )
         )
     return comps
 
 
-def _components(c: Configuration, k: int) -> list[tuple]:
-    """The components of :func:`isotropy_components` as plain
-    ``(vertices, within, down, edges)`` tuples, for ``k >= 2``.
+def _plain_edges(c: Configuration) -> list[tuple[int, int, int, int]]:
+    """``c.edges`` as plain ``(lo, hi, w, mult)`` tuples, in the same order."""
+    return [(e.lo, e.hi, e.w, e.mult) for e in c.edges]
+
+
+def _components(edges, k: int) -> list[tuple]:
+    """The components of :func:`isotropy_components` over plain ``(lo, hi,
+    w, mult)`` edges, as ``(vertices, within, down, edges)`` tuples, for
+    ``k >= 2``.
 
     ``within[v]`` and ``down[v]`` are indexed by vertex, not by position in
     ``vertices``: the slots (total / downward) vertex ``v`` has among the
     ``k``-divisible edges, which all lie in ``v``'s component.
     """
-    kedges = [e for e in c.edges if e.w % k == 0]
+    kedges = [e for e in edges if e[2] % k == 0]
     # label[v] is the lowest vertex joined to v so far
     label = list(range(N_POINTS))
     within = [0] * N_POINTS
     down = [0] * N_POINTS
-    for e in kedges:
-        lo, hi, m = e.lo, e.hi, e.mult
+    for lo, hi, _, m in kedges:
         within[lo] += m
         within[hi] += m
         down[hi] += m
@@ -299,19 +304,21 @@ def _components(c: Configuration, k: int) -> list[tuple]:
     for v in range(N_POINTS):
         if within[v]:
             members.setdefault(label[v], []).append(v)
-    comp_edges: dict[int, list[WeightEdge]] = {}
+    comp_edges: dict[int, list[tuple]] = {}
     for e in kedges:
-        comp_edges.setdefault(label[e.lo], []).append(e)
-    return [
-        (tuple(vs), within, down, tuple(comp_edges[root]))
-        for root, vs in members.items()
-    ]
+        comp_edges.setdefault(label[e[0]], []).append(e)
+    return [(tuple(vs), within, down, comp_edges[root]) for root, vs in members.items()]
 
 
 def isotropy_orders(c: Configuration) -> list[int]:
     """All k >= 2 dividing at least one edge weight."""
+    return _orders({e.w for e in c.edges})
+
+
+def _orders(weights) -> list[int]:
+    """All k >= 2 dividing at least one of the positive ``weights``."""
     ks: set[int] = set()
-    for w in {e.w for e in c.edges}:
+    for w in weights:
         ks.update(k for k in range(2, w + 1) if w % k == 0)
     return sorted(ks)
 
@@ -331,7 +338,7 @@ def flip(c: Configuration) -> Configuration:
 
 
 def sort_key(c: Configuration):
-    return (c.profile.values, tuple((e.lo, e.hi, e.w, e.mult) for e in c.edges))
+    return (c.profile.values, tuple(_plain_edges(c)))
 
 
 def canonicalize(c: Configuration) -> Configuration:

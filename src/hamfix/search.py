@@ -21,8 +21,11 @@ slots, and the weight bounds of the cells still open at its two vertices,
 so the nested ``dfs`` closure reads everything it needs at a cell from one
 entry, keeps its slot and weight-sum state in local lists and its counters
 in local ints.  A complete leaf goes to ``_leaf``, a pure gate that returns
-the configuration or ``None``; ``_search_gap`` counts the rejected leaves
-and sends every accepted one to the sink.  Four pruning rules can be
+the configuration or ``None``: the global balance screen (with ``balance``
+off), then the rule walk's isotropy-component pass on the raw cells, then,
+for the survivors only, the objects, ``is_valid``, the filters and Chern
+integrality.  ``_search_gap`` counts the rejected leaves and sends every
+accepted one to the sink.  Four pruning rules can be
 toggled off independently, in which case the same final set is produced by
 brute force:
 
@@ -61,7 +64,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, combinations, combinations_with_replacement
 
 from . import cohomology
-from .constraints import C1_MAX, C1_MIN, compute_c1, is_valid
+from .constraints import C1_MAX, C1_MIN, _iter_components, compute_c1, is_valid
 from .model import (
     DIM,
     N_POINTS,
@@ -548,14 +551,22 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
 
 def _leaf(spec: SearchSpec, profile: MomentProfile, acc) -> Configuration | None:
     """The configuration a complete leaf's ``(i, j, weights)`` cells spell, or
-    ``None`` if it fails the balance screen (only needed with ``balance``
-    pruning off), ``is_valid``, a filter, or Chern integrality."""
+    ``None`` if a gate rejects it.
+
+    The gates run in this order: the global balance screen (only needed
+    with ``balance`` pruning off), the rule walk's isotropy-component pass
+    on the raw cells, then, for the few leaves that pass both, the objects,
+    ``is_valid``, the filters and Chern integrality.  Both screens are
+    rules ``is_valid`` also checks, so they only reject earlier.
+    """
     if not spec.prune_balance and not _leaf_balanced(acc):
         return None
-    edges = tuple(
-        WeightEdge(i, j, w, weights.count(w)) for i, j, weights in acc for w in set(weights)
+    edges, weights = _leaf_plain(acc)
+    if next(_iter_components(edges, weights), None) is not None:
+        return None
+    config = Configuration(
+        profile, tuple([WeightEdge(*e) for e in edges]), effective=spec.require_effective
     )
-    config = Configuration(profile, edges, effective=spec.require_effective)
     if (
         not is_valid(config)
         or (spec.c1 is not None and compute_c1(config) != spec.c1)
@@ -567,6 +578,23 @@ def _leaf(spec: SearchSpec, profile: MomentProfile, acc) -> Configuration | None
     except cohomology.CohomologyError:
         return None
     return config
+
+
+def _leaf_plain(acc) -> tuple[list, list]:
+    """A leaf's ``(i, j, weights)`` cells as plain ``(lo, hi, w, mult)`` edges
+    and per-vertex signed weights, the form ``_iter_components`` reads."""
+    edges = []
+    signed: list[list[int]] = [[] for _ in range(N_POINTS)]
+    for i, j, weights in acc:
+        if weights:
+            signed[i] += weights
+            signed[j] += [-w for w in weights]
+            w = weights[0]
+            if w == weights[-1]:  # the sorted multiset holds one weight
+                edges.append((i, j, w, len(weights)))
+            else:
+                edges += [(i, j, w, weights.count(w)) for w in set(weights)]
+    return edges, signed
 
 
 def _leaf_balanced(acc) -> bool:

@@ -224,6 +224,8 @@ def test_argument_errors_exit_2_with_one_line(argv, capsys):
         ["verify", "thm2", "--max-width", "0"],
         ["verify", "thm3", "--max-weight", "7", "--max-width", "3", "--a", "9"],
         ["verify", "thm4", "--a", "1", "--c", "3", "--max-width", "10"],
+        ["examples", "list", "o"],  # a name list would silently ignore
+        ["examples", "list", "cp5", "1", "1", "1", "1", "1"],
     ],
 )
 def test_parser_usage_errors_are_one_line(argv, capsys):

@@ -26,7 +26,7 @@ from hamfix import (
     verify_theorem3,
     verify_theorem4,
 )
-from hamfix.constraints import _iter_balance
+from hamfix.constraints import _iter_balance, _iter_components, check_all
 from hamfix.model import (
     DIM,
     N_POINTS,
@@ -218,11 +218,48 @@ def test_leaf_screen_matches_balance_rule():
         for i, j in zip(ups, downs):
             cells[(i, j)].append(rng.randint(1, 5))
         acc = [(i, j, tuple(sorted(ws))) for (i, j), ws in cells.items()]
-        edges = [WeightEdge(i, j, w) for i, j, ws in acc for w in ws]
-        expected = not any(_iter_balance(edges, lambda v: v, DIM, None, range(N_POINTS)))
+        edges = [(i, j, w, 1) for i, j, ws in acc for w in ws]
+        expected = not any(_iter_balance(edges, range(N_POINTS), DIM, None, range(N_POINTS)))
         assert _leaf_balanced(acc) == expected, acc
         verdicts.append(expected)
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+#: the rules of the rule walk's isotropy-component pass
+_COMPONENT_RULES = ("ComponentRegularity", "IndexBound", "SmallestWeightBalance", "ModK")
+
+
+@pytest.mark.parametrize("balance", [True, False])
+def test_leaf_component_screen_matches_check_all(balance, monkeypatch):
+    # every leaf the DFS reaches: the component pass on its raw cells, as
+    # _leaf screens it, rejects exactly the leaves whose configuration has a
+    # component violation in check_all, and names one of them
+    leaves = []
+    real_leaf = search._leaf
+
+    def recording_leaf(spec, profile, acc):
+        leaves.append((profile, tuple(acc)))
+        return real_leaf(spec, profile, acc)
+
+    monkeypatch.setattr(search, "_leaf", recording_leaf)
+    res = enumerate_configurations(SearchSpec(5, 10, prune_balance=balance), workers=1)
+    assert len(leaves) > res.stats.pruned["final"] > 0
+    verdicts = set()
+    for profile, acc in leaves:
+        edges, weights = search._leaf_plain(acc)
+        first = next(_iter_components(edges, weights), None)
+        config = Configuration(profile, tuple(WeightEdge(*e) for e in edges))
+        assert tuple(tuple(sorted(ws)) for ws in weights) == config.weight_system.weights
+        # the global balance rule shares its name; its detail says "globally"
+        expected = [
+            v
+            for v in check_all(config).violations
+            if v.rule in _COMPONENT_RULES and not v.detail.startswith("globally")
+        ]
+        assert (first is None) == (not expected), acc
+        assert first is None or first in expected, acc
+        verdicts.add(first is None)
+    assert verdicts == {True, False}
 
 
 def test_toggle_soundness_nonempty_pool():
