@@ -33,7 +33,6 @@ from .model import (
     canonicalize,
     config_dumps,
     config_loads,
-    derive_weight_system,
 )
 from .search import (
     _TOGGLES,
@@ -174,7 +173,7 @@ def _cmd_enumerate(args) -> int:
         f"distinct weight systems: {len(result.weight_systems())}",
     ]
     for c in result.configurations:
-        ws = derive_weight_system(c)
+        ws = c.weight_system
         human.append(
             f"  gaps {c.profile.gaps}  weights "
             + " | ".join(" ".join(str(w) for w in row) for row in ws.weights)
@@ -218,7 +217,7 @@ def _cmd_examples(args) -> int:
         print(config_dumps(config))
         return 0
     # show
-    ws = derive_weight_system(config)
+    ws = config.weight_system
     report = check_all(config)
     print(f"label:     {config.label}")
     print(f"moment:    {config.moment}")

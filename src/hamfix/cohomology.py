@@ -75,7 +75,6 @@ class EquivariantBasis:
 
     classes: tuple[EquivariantClass, ...]
     a: tuple[int, ...]
-    lam_minus: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,7 @@ def equivariant_basis(c: Configuration) -> EquivariantBasis:
         EquivariantClass(2 * i, tuple(Fraction(x, a5) for x in row))
         for i, row in enumerate(_scaled_basis(c, rp))
     )
-    return EquivariantBasis(classes, rp.a, c.weight_system.lam_minus)
+    return EquivariantBasis(classes, rp.a)
 
 
 def _scaled_basis(c: Configuration, rp: RingPresentation) -> list[list[int]]:

@@ -32,7 +32,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 N_POINTS = 6
 DIM = 5  # complex dimension: five weights per fixed point
@@ -186,20 +186,18 @@ class IsotropyComponent:
     """One connected component of the subgraph of edges with ``k | w``.
 
     ``within_degree``/``within_down`` count the slots (total / downward)
-    each member vertex has inside the subgraph; ``divisible_count`` counts
-    the weights divisible by ``k`` in the vertex's full weight multiset.
-    Every component is *saturated*: the two counts agree, because each
-    weight at ``v`` that ``k`` divides comes from a ``k``-divisible edge at
-    ``v``, and that edge lies in ``v``'s component.  So every component
-    models a full fixed submanifold of the order-``k`` subgroup.
+    each member vertex has inside the subgraph.  Every component is
+    *saturated*: ``within_degree`` also counts the weights ``k`` divides in
+    the vertex's full weight multiset, because each such weight at ``v``
+    comes from a ``k``-divisible edge at ``v``, and that edge lies in
+    ``v``'s component.  So every component models a full fixed submanifold
+    of the order-``k`` subgroup.
     """
 
     k: int
     vertices: tuple[int, ...]
     within_degree: tuple[int, ...]
     within_down: tuple[int, ...]
-    divisible_count: tuple[int, ...]
-    saturated: bool
     edges: tuple[WeightEdge, ...]
 
 
@@ -256,15 +254,12 @@ def isotropy_components(c: Configuration, k: int) -> list[IsotropyComponent]:
     validate_structure(c)
     comps = []
     for vertices, within, down, edges in _components(_plain_edges(c), k):
-        counts = tuple(map(within.__getitem__, vertices))
         comps.append(
             IsotropyComponent(
                 k=k,
                 vertices=vertices,
-                within_degree=counts,
+                within_degree=tuple(map(within.__getitem__, vertices)),
                 within_down=tuple(map(down.__getitem__, vertices)),
-                divisible_count=counts,
-                saturated=True,
                 edges=tuple(WeightEdge(*e) for e in edges),
             )
         )
@@ -310,16 +305,15 @@ def _components(edges, k: int) -> list[tuple]:
     return [(tuple(vs), within, down, comp_edges[root]) for root, vs in members.items()]
 
 
-def isotropy_orders(c: Configuration) -> list[int]:
-    """All k >= 2 dividing at least one edge weight."""
-    return _orders({e.w for e in c.edges})
-
-
 def _orders(weights) -> list[int]:
-    """All k >= 2 dividing at least one of the positive ``weights``."""
+    """All k >= 2 dividing at least one of the positive ``weights``, from
+    the divisor pairs ``(d, w // d)`` with ``d <= isqrt(w)``."""
     ks: set[int] = set()
     for w in weights:
-        ks.update(k for k in range(2, w + 1) if w % k == 0)
+        for d in range(1, isqrt(w) + 1):
+            if w % d == 0:
+                ks.update((d, w // d))
+    ks.discard(1)
     return sorted(ks)
 
 

@@ -46,14 +46,15 @@ is its own canonical form (a palindromic gap vector walks both members).
 Results are sorted, so output is deterministic and independent of the
 worker count.
 
-The verifiers of theorems 1-3 share one pool per process: ``_pool`` keeps
-each open search they run, keyed by its ``SearchSpec`` (the worker count is
+Each of the four verifiers is one ``SearchSpec`` plus a read-out of its
+result, and all of them read it from one pool per process: ``_pool`` keeps
+each search they run, keyed by its ``SearchSpec`` (the worker count is
 left out), so ``thm1`` at weight 5 and ``thm2`` search (5, 50) once and each
 reads its subset off the result; ``thm3`` claims uniqueness at width 10, so
-it reads (5, 10); ``thm4``'s pinned searches run directly.  A verifier's
-``statistics`` therefore describe the shared search: ``thm3`` reports the
-whole (5, 10) search, not one filtered to a largest weight on (0, 5).
-``enumerate_configurations`` itself is never cached.
+it reads (5, 10); ``thm4`` reads the search pinned to its gap vector.  A
+verifier's ``statistics`` therefore describe the shared search: ``thm3``
+reports the whole (5, 10) search, not one filtered to a largest weight on
+(0, 5).  ``enumerate_configurations`` itself is never cached.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations, combinations_with_replacement
+from math import gcd
 
 from . import cohomology
 from .constraints import C1_MAX, C1_MIN, _iter_components, compute_c1, is_valid
@@ -76,7 +78,6 @@ from .model import (
     _is_int,
     canonicalize,
     config_to_dict,
-    derive_weight_system,
     sort_key,
 )
 
@@ -156,32 +157,6 @@ class SearchSpec:
             "pruningToggles": {rule: getattr(self, f"prune_{rule}") for rule in _TOGGLES},
             "nodeLimit": self.node_limit,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SearchSpec":
-        toggles = d.get("pruningToggles", {}) if isinstance(d, dict) else None
-        if not isinstance(toggles, dict):
-            raise SpecError("a search spec and its pruningToggles must be JSON objects")
-        missing = sorted({"maxWeight", "maxWidth"} - d.keys())
-        if missing:
-            raise SpecError(f"search spec lacks {', '.join(missing)}")
-        defaults = cls(1, DIM).to_dict()  # every key to_dict writes
-        unknown = [repr(k) for k in d if k not in defaults]
-        unknown += [f"pruningToggles.{k!r}" for k in toggles if k not in defaults["pruningToggles"]]
-        if unknown:
-            raise SpecError(f"unknown search spec keys: {', '.join(unknown)}")
-        d = {**defaults, **d}
-        toggles = {**defaults["pruningToggles"], **toggles}
-        return cls(
-            max_weight=d["maxWeight"],
-            max_width=d["maxWidth"],
-            c1=d["c1"],
-            largest_from=d["largestFrom"],
-            require_effective=d["requireEffective"],
-            gaps=d["gaps"],
-            node_limit=d["nodeLimit"],
-            **{f"prune_{rule}": toggles[rule] for rule in _TOGGLES},
-        )
 
 
 @dataclass
@@ -688,7 +663,7 @@ _POOL: dict[SearchSpec, SearchResult] = {}
 
 
 def _pool(spec: SearchSpec, workers: int | None) -> SearchResult:
-    """``enumerate_configurations(spec)``, searched once per process.
+    """``enumerate_configurations(spec)`` for all four verifiers, searched once per process.
 
     The key leaves out the worker count, which never changes a result; the
     count is still checked on every call, so a cached spec rejects it too.
@@ -721,7 +696,7 @@ class TheoremReport:
 
 def _weight_systems(configs) -> list[tuple[tuple[int, ...], ...]]:
     """Distinct per-vertex weight multisets realized, sorted."""
-    return sorted({derive_weight_system(c).weights for c in configs})
+    return sorted({c.weight_system.weights for c in configs})
 
 
 def _width_clause(spec: SearchSpec) -> str:
@@ -816,7 +791,7 @@ def verify_theorem2(max_width: int | None = None, workers: int | None = None) ->
     mult_ok = True
     pairs_ok = True
     for idx in set1:
-        ws = derive_weight_system(pool[idx])
+        ws = pool[idx].weight_system
         for v in range(N_POINTS):
             if sum(1 for w in ws.weights[v] if abs(w) == 5) > 1:
                 mult_ok = False
@@ -910,8 +885,8 @@ def verify_theorem4(a: int, c: int, workers: int | None = None) -> TheoremReport
     For gaps (a, c, 2a, c, a) with the largest weight 2a+c on edges (0,5),
     (1,3) and (2,4), effectiveness forces gcd(a, c/3) = 1 and exactly one
     weight system survives: the parametric one, reducing to the
-    coadjoint-orbit data at (a, c) = (1, 3).  The search pins that one gap
-    vector; only the largest-weight hypothesis is read off its result.
+    coadjoint-orbit data at (a, c) = (1, 3).  The pooled search pins that one
+    gap vector; only the largest-weight hypothesis is read off its result.
     """
     if not (_is_int(a) and _is_int(c)):
         raise SpecError(f"a and c must be integers, got a={a!r}, c={c!r}")
@@ -919,15 +894,13 @@ def verify_theorem4(a: int, c: int, workers: int | None = None) -> TheoremReport
         raise SpecError("a and c must be positive integers")
     if c % 3 != 0:
         raise SpecError(f"c must be divisible by 3, got {c}")
-    from math import gcd
-
     if gcd(a, c // 3) != 1:
         raise SpecError(
             f"the predicted weights have gcd {gcd(a, c // 3)} > 1; "
             "the action would not be effective"
         )
     w = 2 * a + c
-    res = enumerate_configurations(
+    res = _pool(
         SearchSpec(
             w,
             2 * w,
@@ -935,7 +908,7 @@ def verify_theorem4(a: int, c: int, workers: int | None = None) -> TheoremReport
             require_effective=True,
             gaps=(a, c, 2 * a, c, a),
         ),
-        workers=workers,
+        workers,
     )
     sel = [cfg for cfg in res.configurations if cfg.max_weight() == w]
     systems = _weight_systems(sel)

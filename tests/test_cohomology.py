@@ -194,7 +194,7 @@ def _chern_reference(c):
         )
         for i in range(6)
     )
-    basis = EquivariantBasis(classes, rp.a, ws.lam_minus)
+    basis = EquivariantBasis(classes, rp.a)
     rows = tuple(
         expand_in_basis(chern_restrictions(ws, m), basis, require_integral=True)
         for m in range(1, 6)

@@ -18,6 +18,7 @@ from hamfix import (
     builtin,
     canonicalize,
     check_all,
+    cohomology_report,
     compute_c1,
     derive_weight_system,
     flip,
@@ -382,6 +383,15 @@ def test_check_all_fixtures_pass():
         assert report.passed, report.violations
         assert report.c1 == c1
         assert report.violations == ()
+
+
+def test_check_all_huge_gap():
+    # a weight near 10**9 has a few hundred divisors; finding the isotropy
+    # orders by trying every k up to the weight took minutes
+    c = builtin("cp5", 1, 1, 1, 1, 10**9)
+    report = check_all(c)
+    assert report.passed and report.c1 == 6 and is_valid(c)
+    assert cohomology_report(c)["chern_ordinary"] == [6, 15, 20, 15, 6]
 
 
 def test_check_all_mutant_fails(o):

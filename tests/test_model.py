@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 
@@ -30,7 +31,7 @@ from hamfix import (
 )
 from hamfix import model
 from hamfix.constraints import is_valid
-from hamfix.model import isotropy_orders, slot_counts, sort_key, structure_problems
+from hamfix.model import _orders, slot_counts, sort_key, structure_problems
 
 
 @pytest.fixture(scope="module")
@@ -178,18 +179,20 @@ def test_global_weight_symmetry(fixtures):
 def test_isotropy_components_o_k5(o):
     comps = isotropy_components(o, 5)
     assert [c.vertices for c in comps] == [(0, 5), (1, 3), (2, 4)]
+    ws = o.weight_system
     for c in comps:
-        assert c.saturated
-        assert c.divisible_count == (1, 1)
+        # saturated: the one 5 at each member vertex lies inside the component
+        assert tuple(sum(1 for w in ws.weights[v] if w % 5 == 0) for v in c.vertices) == (1, 1)
         assert c.within_degree == (1, 1)
 
 
 def test_isotropy_components_o_k2(o):
     comps = isotropy_components(o, 2)
     assert [c.vertices for c in comps] == [(0, 2, 3, 5), (1, 4)]
+    ws = o.weight_system
     for c in comps:
-        for deg, div in zip(c.within_degree, c.divisible_count):
-            assert deg <= div
+        divisible = tuple(sum(1 for w in ws.weights[v] if w % 2 == 0) for v in c.vertices)
+        assert c.within_degree == divisible
 
 
 def test_isotropy_large_k_empty(o):
@@ -233,7 +236,22 @@ def test_canonicalize_idempotent(fixtures):
 
 
 def test_isotropy_orders(o):
-    assert isotropy_orders(o) == [2, 3, 4, 5]
+    assert _orders({e.w for e in o.edges}) == [2, 3, 4, 5]
+
+
+def _orders_reference(weights):
+    """Every k from 2 to each weight, tried in turn."""
+    return sorted({k for w in weights for k in range(2, w + 1) if w % k == 0})
+
+
+def test_isotropy_orders_match_linear_scan():
+    assert all(_orders([w]) == _orders_reference([w]) for w in range(1, 2001))
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        weights = {rng.randint(1, 300) for _ in range(rng.randint(1, 8))}
+        assert _orders(weights) == _orders_reference(weights), weights
+    assert _orders([]) == []
+    assert _orders([1_000_003]) == [1_000_003]  # a prime far past the scanned range
 
 
 def _isotropy_components_reference(c, k):
@@ -269,14 +287,13 @@ def _isotropy_components_reference(c, k):
             dwn[e.hi] += e.mult
         divc = tuple(sum(1 for w in ws.weights[v] if w % k == 0) for v in vertices)
         within = tuple(deg[v] for v in vertices)
+        assert within == divc  # saturated
         comps.append(
             IsotropyComponent(
                 k=k,
                 vertices=vertices,
                 within_degree=within,
                 within_down=tuple(dwn[v] for v in vertices),
-                divisible_count=divc,
-                saturated=all(d == dc for d, dc in zip(within, divc)),
                 edges=comp_edges,
             )
         )
@@ -288,7 +305,7 @@ def test_isotropy_components_match_reference(mutant_corpus):
     # for every isotropy order of the builtins and their mutants
     checked = 0
     for c in mutant_corpus:
-        orders = isotropy_orders(c)
+        orders = _orders({e.w for e in c.edges})
         assert orders == [
             k for k in range(2, c.max_weight() + 1) if any(e.w % k == 0 for e in c.edges)
         ], c.label
