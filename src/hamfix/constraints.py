@@ -365,7 +365,7 @@ def check_all(c: Configuration, effective: bool | None = None) -> CheckReport:
     return CheckReport(passed=not ordered, c1=c1, violations=ordered)
 
 
-def is_valid(c: Configuration, effective: bool | None = None) -> bool:
-    """Exactly ``check_all(c, effective).passed``, stopping at the first
-    violation; used as the enumeration's final gate."""
-    return next(_walk(c, effective), None) is None
+def is_valid(c: Configuration) -> bool:
+    """Exactly ``check_all(c).passed``, stopping at the first violation; used
+    as the enumeration's final gate."""
+    return next(_walk(c, None), None) is None

@@ -21,13 +21,12 @@ slots, and the weight bounds of the cells still open at its two vertices,
 so the nested ``dfs`` closure reads everything it needs at a cell from one
 entry, keeps its slot and weight-sum state in local lists and its counters
 in local ints.  A complete leaf goes to ``_leaf``, a pure gate that returns
-the configuration or ``None``: the global balance screen (with ``balance``
-off), then the rule walk's isotropy-component pass on the raw cells, then,
-for the survivors only, the objects, ``is_valid``, the filters and Chern
-integrality.  ``_search_gap`` counts the rejected leaves and sends every
-accepted one to the sink.  Four pruning rules can be
-toggled off independently, in which case the same final set is produced by
-brute force:
+the configuration or ``None``: the smallest-weight balance of the walk's
+own floor counters, then the rule walk's isotropy-component pass on the raw
+cells, then, for the survivors only, the objects, ``is_valid``, the filters
+and Chern integrality.  ``_search_gap`` counts the rejected leaves and sends
+every accepted one to the sink.  Four pruning rules can be toggled off
+independently, in which case the same final set is produced by brute force:
 
 * ``divisibility`` -- restrict cell weights to divisors of the moment gap;
 * ``extremal``      -- force the two extremal edges to carry the full gap;
@@ -37,7 +36,8 @@ brute force:
                       cell of row i, cut the multisets after which the
                       smallest-weight slots leaving vertex i can no longer
                       equal those entering vertex i + 1 (with it off, the
-                      same balance is screened at the leaf).
+                      walk runs at floor 1 and the leaf's counters screen
+                      the same balance).
 
 The reversed action gives an equivalent configuration, so one member of
 each mirror pair is kept: only mirror-canonical gap vectors are walked, and
@@ -411,7 +411,7 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
     def dfs(ci: int) -> None:
         nonlocal nodes, n_gamma, n_slot, n_balance, n_final
         if ci == n_cells:
-            config = _leaf(spec, profile, acc)
+            config = _leaf(spec, profile, acc, plus, minus)
             if config is None:
                 n_final += 1
             else:
@@ -524,17 +524,21 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
         pruned["final"] += n_final
 
 
-def _leaf(spec: SearchSpec, profile: MomentProfile, acc) -> Configuration | None:
+def _leaf(spec: SearchSpec, profile: MomentProfile, acc, plus, minus) -> Configuration | None:
     """The configuration a complete leaf's ``(i, j, weights)`` cells spell, or
     ``None`` if a gate rejects it.
 
-    The gates run in this order: the global balance screen (only needed
-    with ``balance`` pruning off), the rule walk's isotropy-component pass
-    on the raw cells, then, for the few leaves that pass both, the objects,
-    ``is_valid``, the filters and Chern integrality.  Both screens are
-    rules ``is_valid`` also checks, so they only reject earlier.
+    The gates run in this order: the walk's floor counters, the rule walk's
+    isotropy-component pass on the raw cells, then, for the few leaves that
+    pass both, the objects, ``is_valid``, the filters and Chern integrality.
+    ``plus[v]``/``minus[v]`` count the floor-weight slots leaving and entering
+    v.  With ``balance`` on, the row cuts already balance them.  With it off,
+    the floor is 1, so on a leaf holding a weight-1 slot the test is exactly
+    the global smallest-weight rule; a leaf without one has zero counters and
+    is left to ``is_valid``.  Both screens are rules ``is_valid`` also
+    checks, so they only reject earlier.
     """
-    if not spec.prune_balance and not _leaf_balanced(acc):
+    if plus[:DIM] != minus[1:]:
         return None
     edges, weights = _leaf_plain(acc)
     if next(_iter_components(edges, weights), None) is not None:
@@ -570,28 +574,6 @@ def _leaf_plain(acc) -> tuple[list, list]:
             else:
                 edges += [(i, j, w, weights.count(w)) for w in set(weights)]
     return edges, signed
-
-
-def _leaf_balanced(acc) -> bool:
-    """Global smallest-weight balance of a leaf's ``(i, j, weights)`` cells.
-
-    The raw form of ``constraints._iter_balance`` over the leaf's edges,
-    run before any object is built.  With ``balance`` pruning off it
-    rejects about 99 % of leaves, which keeps brute force affordable.
-    """
-    wmin = None
-    for _, _, weights in acc:
-        for w in weights:
-            if wmin is None or w < wmin:
-                wmin = w
-    plus = [0] * N_POINTS
-    minus = [0] * N_POINTS
-    for i, j, weights in acc:
-        for w in weights:
-            if w == wmin:
-                plus[i] += 1
-                minus[j] += 1
-    return all(plus[m] == minus[m + 1] for m in range(DIM))
 
 
 def _search_chunk(spec: SearchSpec, gap_chunk) -> tuple[list[Configuration], SearchStats]:

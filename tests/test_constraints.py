@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -483,12 +484,14 @@ def _random_mutant_corpus():
 
 def test_is_valid_matches_check_all_random_mutants():
     # the early-exit walk of is_valid against the full report, on the
-    # builtins and seeded single-edge weight mutants, for every flag value
+    # builtins and seeded single-edge weight mutants, for every flag value;
+    # is_valid reads the configuration's own flag, check_all the override
     outcomes = set()
     for c in _random_mutant_corpus():
         for eff in (None, True, False):
             passed = check_all(c, eff).passed
-            assert is_valid(c, eff) == passed, (c.label, eff)
+            flagged = c if eff is None else dataclasses.replace(c, effective=eff)
+            assert is_valid(flagged) == passed, (c.label, eff)
             outcomes.add(passed)
     assert outcomes == {True, False}
 

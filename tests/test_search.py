@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import json
-import random
 import subprocess
 import sys
 
@@ -30,14 +30,13 @@ from hamfix.constraints import _iter_balance, _iter_components, check_all
 from hamfix.model import (
     DIM,
     N_POINTS,
-    PAIRS,
     Configuration,
     WeightEdge,
     _has_edge,
     canonicalize,
     sort_key,
 )
-from hamfix.search import SearchStats, _gap_vectors, _leaf_balanced, o_weight_system
+from hamfix.search import SearchStats, _gap_vectors, o_weight_system
 
 O_WS = (
     (1, 2, 3, 4, 5),
@@ -179,51 +178,40 @@ def test_single_toggle_soundness_small(toggle):
     assert alt.stats.to_dict() == _stats(*_STATS_2_6[toggle])
 
 
-def test_leaf_screen_matches_balance_rule():
-    # random slot-respecting leaves: swap the receivers of two slots of the
-    # sorted pairing whenever both slots stay upward
-    rng = random.Random(20240301)
-    ups = sorted(v for v in range(N_POINTS) for _ in range(DIM - v))
-    verdicts = []
-    for _ in range(400):
-        downs = sorted(v for v in range(N_POINTS) for _ in range(v))
-        for _ in range(40):
-            a, b = rng.randrange(len(ups)), rng.randrange(len(ups))
-            if ups[a] < downs[b] and ups[b] < downs[a]:
-                downs[a], downs[b] = downs[b], downs[a]
-        cells = {pair: [] for pair in PAIRS}
-        for i, j in zip(ups, downs):
-            cells[(i, j)].append(rng.randint(1, 5))
-        acc = [(i, j, tuple(sorted(ws))) for (i, j), ws in cells.items()]
-        edges = [(i, j, w, 1) for i, j, ws in acc for w in ws]
-        expected = not any(_iter_balance(edges, range(N_POINTS), DIM, None, range(N_POINTS)))
-        assert _leaf_balanced(acc) == expected, acc
-        verdicts.append(expected)
-    assert 0 < sum(verdicts) < len(verdicts)
-
-
 #: the rules of the rule walk's isotropy-component pass
 _COMPONENT_RULES = ("ComponentRegularity", "IndexBound", "SmallestWeightBalance", "ModK")
 
 
 @pytest.mark.parametrize("balance", [True, False])
 def test_leaf_component_screen_matches_check_all(balance, monkeypatch):
-    # every leaf the DFS reaches: the component pass on its raw cells, as
-    # _leaf screens it, rejects exactly the leaves whose configuration has a
-    # component violation in check_all, and names one of them
+    # every leaf the DFS reaches: the floor counters _leaf screens first
+    # balance exactly when the global smallest-weight rule holds or (with
+    # balance off, at floor 1) the leaf holds no weight-1 slot; the component
+    # pass on its raw cells rejects exactly the leaves whose configuration has
+    # a component violation in check_all, and names one of them
     leaves = []
     real_leaf = search._leaf
 
-    def recording_leaf(spec, profile, acc):
-        leaves.append((profile, tuple(acc)))
-        return real_leaf(spec, profile, acc)
+    def recording_leaf(spec, profile, acc, plus, minus):
+        leaves.append((profile, tuple(acc), plus[:], minus[:]))
+        return real_leaf(spec, profile, acc, plus, minus)
 
     monkeypatch.setattr(search, "_leaf", recording_leaf)
     res = enumerate_configurations(SearchSpec(5, 10, prune_balance=balance), workers=1)
     assert len(leaves) > res.stats.pruned["final"] > 0
     verdicts = set()
-    for profile, acc in leaves:
+    # (counters balance, leaf holds a weight-1 slot) -> leaves
+    kinds = collections.Counter()
+    for profile, acc, plus, minus in leaves:
         edges, weights = search._leaf_plain(acc)
+        counted = plus[:DIM] == minus[1:]
+        globally = not any(_iter_balance(edges, range(N_POINTS), DIM, None, range(N_POINTS)))
+        has_one = any(1 in ws for _, _, ws in acc)
+        if balance:
+            assert counted and globally, acc
+        else:
+            assert any(plus) == has_one and counted == (not has_one or globally), acc
+        kinds[counted, has_one] += 1
         first = next(_iter_components(edges, weights), None)
         config = Configuration(profile, tuple(WeightEdge(*e) for e in edges))
         assert tuple(tuple(sorted(ws)) for ws in weights) == config.weight_system.weights
@@ -237,6 +225,10 @@ def test_leaf_component_screen_matches_check_all(balance, monkeypatch):
         assert first is None or first in expected, acc
         verdicts.add(first is None)
     assert verdicts == {True, False}
+    if not balance:
+        # rejected by the counters, balanced with a weight-1 slot, no weight-1 slot
+        assert kinds == {(False, True): 32968, (True, True): 433, (True, False): 410}
+        assert res.stats.pruned["final"] >= kinds[False, True]
 
 
 def test_toggle_soundness_nonempty_pool():
