@@ -271,10 +271,8 @@ def _iter_components(edges, weights):
                 for m in range(d + 1):
                     if levels[m] == 0:
                         irregular.append(f"no vertex at index level {m} of {d}")
-                    if levels[m] != levels[d - m]:
-                        irregular.append(
-                            f"index level counts {levels} are not symmetric under duality"
-                        )
+                if levels != levels[::-1]:
+                    irregular.append(f"index level counts {levels} are not symmetric under duality")
                 for text in irregular:
                     detail = f"k={k} component {vertices}: {text}"
                     yield Violation("ComponentRegularity", vertices, detail=detail)

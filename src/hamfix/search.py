@@ -13,20 +13,23 @@ Search order: gap vector first, then edge cells in lexicographic pair order
 ``(0,1), (0,2), ..., (4,5)``.  Because a vertex's downward cells all precede
 its upward cells, each vertex's weight sum closes at a known cell, which is
 where the weight-sum (first-Chern) targets are enforced.  The engine is
-plain functions: ``_search_gap`` searches one gap vector.  A gap vector that
-survives the extremal and weight-sum tests gets a cell plan per floor: one
-tuple per cell holding its multiset tables by slot count (filled from the
-chunk's memo on first use), whether it closes a vertex's upward or downward
-slots, and the weight bounds of the cells still open at its two vertices,
-so the nested ``dfs`` closure reads everything it needs at a cell from one
-entry, keeps its slot and weight-sum state in local lists and its counters
-in local ints.  A complete leaf goes to ``_leaf``, a pure gate that returns
-the configuration or ``None``: the smallest-weight balance of the walk's
-own floor counters, then the rule walk's isotropy-component pass on the raw
-cells, then, for the survivors only, the objects, ``is_valid``, the filters
-and Chern integrality.  ``_search_gap`` counts the rejected leaves and sends
-every accepted one to the sink.  Four pruning rules can be toggled off
-independently, in which case the same final set is produced by brute force:
+plain functions: ``_search_gap`` searches one gap vector.  Its weight-sum
+target vectors are computed once, and each floor re-tests only those the
+floor below kept.  A gap vector that survives the extremal and weight-sum
+tests gets a cell plan per floor: one tuple per cell holding its multiset
+tables by slot count (one tuple per allowed weights and floor, built once
+per chunk and shared by every plan), whether it closes a vertex's upward or
+downward slots, and the weight bounds of the cells still open at its two
+vertices, so the nested ``dfs`` closure reads everything it needs at a cell
+from one entry, keeps its slot and weight-sum state in local lists and its
+counters in local ints.  A complete leaf goes to ``_leaf``, a pure gate that
+returns the configuration or ``None``: the smallest-weight balance of the
+walk's own floor counters, then the rule walk's isotropy-component pass on
+the raw cells, then, for the survivors only, the objects, ``is_valid``, the
+filters and Chern integrality.  ``_search_gap`` counts the rejected leaves
+and sends every accepted one to the sink.  Four pruning rules can be
+toggled off independently, in which case the same final set is produced by
+brute force:
 
 * ``divisibility`` -- restrict cell weights to divisors of the moment gap;
 * ``extremal``      -- force the two extremal edges to carry the full gap;
@@ -208,40 +211,45 @@ def _divisors_leq(n: int, bound: int) -> tuple[int, ...]:
     return tuple(w for w in range(1, min(n, bound) + 1) if n % w == 0)
 
 
-def _gamma_targets(spec: SearchSpec, phi: tuple[int, ...], floor: int) -> list[tuple[int, ...]]:
+def _gamma_targets(spec: SearchSpec, gaps: tuple[int, ...], phi: tuple[int, ...]) -> list:
     """Per-vertex weight-sum targets, one vector per feasible first-Chern multiple.
 
     A valid configuration satisfies Gamma_i = Gamma_0 - k phi_i with
-    6 Gamma_0 = k sum(phi); each target must fit in the interval reachable
-    by the vertex's slots when every weight lies in ``[floor, max_weight]``,
-    which prunes most gap vectors outright.  A higher floor only narrows
-    each interval, so a floor without targets leaves none to every higher one.
+    6 Gamma_0 = k sum(phi).  Gamma_0 and the integral target vectors are
+    computed once per gap vector; those ``_in_reach`` keeps at floor 1 are
+    returned, which prunes most gap vectors outright, and each higher floor
+    narrows them further.
     """
     sum_phi = sum(phi)
-    maxw = spec.max_weight
     ks = (spec.c1,) if spec.c1 is not None else range(C1_MIN, C1_MAX + 1)
     out = []
-    g1, g5 = phi[1] - phi[0], phi[5] - phi[4]
     for k in ks:
-        if (k * sum_phi) % N_POINTS != 0:
-            continue
-        gamma0 = k * sum_phi // N_POINTS
-        targets = tuple(gamma0 - k * phi[i] for i in range(N_POINTS))
-        ok = True
-        for i in range(N_POINTS):
-            up, down = DIM - i, i
-            lo, hi = up * floor - down * maxw, up * maxw - down * floor
-            if spec.prune_extremal:
-                # extremal edges carry exactly the extremal gaps
-                if i == 0:
-                    lo, hi = g1 + (up - 1) * floor, g1 + (up - 1) * maxw
-                elif i == N_POINTS - 1:
-                    lo, hi = -g5 - (down - 1) * maxw, -g5 - (down - 1) * floor
-            if not lo <= targets[i] <= hi:
-                ok = False
+        if (k * sum_phi) % N_POINTS == 0:
+            gamma0 = k * sum_phi // N_POINTS
+            out.append(tuple([gamma0 - k * v for v in phi]))
+    return _in_reach(spec, gaps, out, 1)
+
+
+def _in_reach(spec: SearchSpec, gaps: tuple[int, ...], targets: list, floor: int) -> list:
+    """The ``targets`` whose every entry lies in the interval of weight sums
+    its vertex's slots reach with every weight in ``[floor, max_weight]``.  A
+    higher floor only narrows these intervals, so a floor need only re-test
+    the targets the floor below kept, and a floor that keeps none leaves none
+    to every higher one."""
+    maxw = spec.max_weight
+    out = []
+    for t in targets:
+        for i, x in enumerate(t):
+            lo, hi = (DIM - i) * floor - i * maxw, (DIM - i) * maxw - i * floor
+            # an extremal edge's slot carries exactly its gap, not [floor, maxw]
+            if spec.prune_extremal and i == 0:
+                lo, hi = lo - floor + gaps[0], hi - maxw + gaps[0]
+            elif spec.prune_extremal and i == DIM:
+                lo, hi = lo + maxw - gaps[DIM - 1], hi + floor - gaps[DIM - 1]
+            if not lo <= x <= hi:
                 break
-        if ok:
-            out.append(targets)
+        else:
+            out.append(t)
     return out
 
 
@@ -249,18 +257,22 @@ def _gamma_targets(spec: SearchSpec, phi: tuple[int, ...], floor: int) -> list[t
 # the per-gap-vector DFS
 
 
-def _multisets_by_sum(memo: dict, allowed: tuple[int, ...], m: int, wm: int):
-    """Size-m multisets of allowed weights sorted by sum, via memo:
-    ``(sums, multisets, counts)``, where ``counts[k]`` is how many ``wm``
-    the k-th multiset holds."""
-    key = (allowed, m, wm)
-    got = memo.get(key)
-    if got is None:
-        # stable on the lexicographic order the combinations come in
-        msets = tuple(sorted(combinations_with_replacement(allowed, m), key=sum))
-        got = (tuple(map(sum, msets)), msets, tuple(ws.count(wm) for ws in msets))
-        memo[key] = got
-    return got
+def _tables(memo: dict, allowed: tuple[int, ...], wm: int) -> tuple:
+    """``tables[m]`` for m = 0..DIM: the size-m multisets of the sorted
+    ``allowed`` weights sorted by sum, as ``(sums, multisets, counts)``,
+    where ``counts[k]`` is how many ``wm`` the k-th multiset holds.  Built
+    once per ``(allowed, wm)`` in the chunk's ``memo`` and shared by every
+    plan and cell that allows those weights under that floor."""
+    key = (allowed, wm)
+    tables = memo.get(key)
+    if tables is None:
+        built = []
+        for m in range(DIM + 1):
+            # stable on the lexicographic order the combinations come in
+            msets = tuple(sorted(combinations_with_replacement(allowed, m), key=sum))
+            built.append((tuple(map(sum, msets)), msets, tuple(ws.count(wm) for ws in msets)))
+        tables = memo[key] = tuple(built)
+    return tables
 
 
 def _allowed_table(spec: SearchSpec, gaps: tuple[int, ...], phi: tuple[int, ...]) -> dict:
@@ -287,39 +299,24 @@ def _span(bound, ws):
     return (min(bound[0], ws[0]), max(bound[1], ws[-1]))
 
 
-class _Tables(dict):
-    """``tables[m]``: ``_multisets_by_sum`` of one cell's allowed weights for m
-    slots under the plan's floor, looked up in the memo on first use."""
-
-    __slots__ = ("memo", "allowed", "wm")
-
-    def __init__(self, memo: dict, allowed: tuple[int, ...], wm: int) -> None:
-        self.memo, self.allowed, self.wm = memo, allowed, wm
-
-    def __missing__(self, m: int):
-        got = self[m] = _multisets_by_sum(self.memo, self.allowed, m, self.wm)
-        return got
-
-
 def _cell_plan(table: dict, floor: int, memo: dict) -> tuple:
     """One entry per cell (i, j) of ``PAIRS``, everything the DFS reads at that cell.
 
     An entry is ``(i, j, tables, last_up, last_down, row_lo, row_hi, up_j_lo,
-    up_j_hi, down_lo, down_hi)``.  ``tables[m]``, for m = 0..min(DIM - i, j),
-    is the ``(sums, msets, counts)`` table of the cell's allowed weights from
-    ``table`` that are at least ``floor``, with ``counts`` counting ``floor``;
-    it is filled from ``memo`` on the cell's first use of m within the plan,
-    as most plans reach few of their cells.  Then come whether the cell is
-    the last upward cell of i and the last downward cell of j; the (min, max)
-    allowed weight over the cells after j in row i; the least and most weight
-    sum j's DIM - j upward slots can carry, all still open at (i, j); and the
-    (min, max) allowed weight over j's downward cells from rows after i.  A
-    bound over cells with no allowed weight is (0, 0).  Under a floor a
-    cell's allowed weights may be empty (a gap of 2 at floor 3); an empty
-    cell that still has slots to fill yields no multiset, so no leaf lies
-    below such a bound and any window computed over it is sound.
+    up_j_hi, down_lo, down_hi)``.  ``tables`` is ``_tables`` of the cell's
+    allowed weights from ``table`` that are at least ``floor`` (a slice of
+    the sorted tuple), with ``counts`` counting ``floor``: the one tuple in
+    ``memo`` that every plan of the chunk shares.  Then come whether the
+    cell is the last upward cell of i and the last downward cell of j; the
+    (min, max) allowed weight over the cells after j in row i; the least and
+    most weight sum j's DIM - j upward slots can carry, all still open at
+    (i, j); and the (min, max) allowed weight over j's downward cells from
+    rows after i.  A bound over cells with no allowed weight is (0, 0).
+    Under a floor a cell's allowed weights may be empty (a gap of 2 at floor
+    3); an empty cell that still has slots to fill yields no multiset, so no
+    leaf lies below such a bound and any window computed over it is sound.
     """
-    allowed = {cell: tuple(w for w in ws if w >= floor) for cell, ws in table.items()}
+    allowed = {cell: ws[bisect_left(ws, floor) :] for cell, ws in table.items()}
     # after[(i, j)] spans the cells (i, l) with l > j, below[(i, j)] the cells
     # (l, j) with i < l < j; each extends the one a cell later in its line
     after, below = {}, {}
@@ -337,7 +334,7 @@ def _cell_plan(table: dict, floor: int, memo: dict) -> tuple:
             (
                 i,
                 j,
-                _Tables(memo, allowed[(i, j)], floor),
+                _tables(memo, allowed[(i, j)], floor),
                 j == N_POINTS - 1,
                 i == j - 1,
                 row_lo,
@@ -355,22 +352,23 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
     """DFS over the edge cells of one gap vector, once per floor and weight-sum
     target vector.
 
-    The gap vector is first rejected on the extremal and weight-sum tests,
-    and only a survivor builds its moment profile and allowed-weight table.
-    With ``balance`` on, the walk runs once per floor ``wm``, the leaf's
-    global smallest weight: a floor whose weight-sum targets are infeasible
-    with every weight >= ``wm`` is skipped, cells allow only weights >=
-    ``wm``, and ``plus[v]``/``minus[v]`` count the ``wm`` slots leaving and
-    entering v.  Row i's first cell (i, i + 1) places the last of i + 1's
-    downward cells, so from there on ``minus[i + 1]`` is final and, at every
-    cell of row i, the walk cuts a multiset that leaves ``plus[i]`` above it,
-    or below it by more ``wm`` slots than i's later cells can still take (none
-    if no later cell of row i allows ``wm``).  At row i's last cell (i, 5)
-    this is ``plus[i] == minus[i + 1]``; at (4, 5) the leaf must also hold a
-    ``wm`` slot (a leaf without one is walked under its own floor).
-    ``dfs(ci)`` works from ``plan[ci]`` alone; with targets active, each cell
-    keeps only the multisets whose sum leaves both endpoint vertices able to
-    reach their targets with the slots they have left.
+    The gap vector is first rejected on the extremal and weight-sum tests, and
+    only a survivor builds its moment profile and allowed-weight table.  With
+    ``balance`` on, the walk runs once per floor ``wm``, the leaf's global
+    smallest weight: each floor keeps the weight-sum targets of the floor
+    below that stay feasible with every weight >= ``wm``, and the floors from
+    the first that keeps none are skipped; cells allow only weights >= ``wm``,
+    and ``plus[v]``/``minus[v]`` count the ``wm`` slots leaving and entering
+    v.  Row i's first cell (i, i + 1) places the last of i + 1's downward
+    cells, so from there on ``minus[i + 1]`` is final and, at every cell of
+    row i, the walk cuts a multiset that leaves ``plus[i]`` above it, or below
+    it by more ``wm`` slots than i's later cells can still take (none if no
+    later cell of row i allows ``wm``).  At row i's last cell (i, 5) this is
+    ``plus[i] == minus[i + 1]``; at (4, 5) the leaf must also hold a ``wm``
+    slot (a leaf without one is walked under its own floor).  ``dfs(ci)``
+    works from ``plan[ci]`` alone; with targets active, each cell keeps only
+    the multisets whose sum leaves both endpoint vertices able to reach their
+    targets with the slots they have left.
 
     ``dfs`` counts in local ints: ``nodes`` starts from ``stats.nodes``, so
     the node limit is tested against the running total, and the
@@ -384,11 +382,11 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
         pruned["extremal"] += 1
         return
     phi = (0, *accumulate(gaps))
-    candidates = _gamma_targets(spec, phi, 1) if spec.prune_gamma else [None]
+    candidates = _gamma_targets(spec, gaps, phi) if spec.prune_gamma else [None]
     if not candidates:
         pruned["gamma"] += 1
         return
-    profile = MomentProfile.from_gaps(gaps)
+    profile = MomentProfile(phi)
     table = _allowed_table(spec, gaps, phi)
     balance = spec.prune_balance
     if not balance:
@@ -509,7 +507,7 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
     try:
         for n, wm in enumerate(floors):
             if n and spec.prune_gamma:
-                candidates = _gamma_targets(spec, phi, wm)
+                candidates = _in_reach(spec, gaps, candidates, wm)
                 if not candidates:
                     pruned["gamma"] += len(floors) - n  # every floor from wm up
                     break

@@ -257,6 +257,24 @@ def test_regularity_dimension_mismatch(o):
     )
 
 
+def test_regularity_asymmetric_levels_reported_once():
+    # one k=2 component with index levels [1, 2, 1, 0, 2]: levels[m] differs
+    # from levels[d - m] at m = 0, 1, 3 and 4, but it is one asymmetry
+    edges = [
+        (0, 1, 4), (0, 2, 3), (0, 3, 4), (0, 3, 8), (0, 4, 8), (1, 2, 4), (1, 3, 3),
+        (1, 5, 2), (1, 5, 4), (2, 4, 6, 2), (2, 4, 8), (3, 5, 4, 2), (4, 5, 1),
+    ]
+    c = Configuration(
+        MomentProfile((0, 5, 10, 11, 13, 16)), tuple(WeightEdge(*e) for e in edges)
+    )
+    details = [v.detail for v in check_all(c).violations]
+    assert len(details) == 47
+    assert [d for d in details if "not symmetric" in d] == [
+        "k=2 component (0, 1, 2, 3, 4, 5): index level counts [1, 2, 1, 0, 2] "
+        "are not symmetric under duality"
+    ]
+
+
 # -- extremal edges ----------------------------------------------------------
 
 

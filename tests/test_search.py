@@ -26,7 +26,7 @@ from hamfix import (
     verify_theorem3,
     verify_theorem4,
 )
-from hamfix.constraints import _iter_balance, _iter_components, check_all
+from hamfix.constraints import C1_MAX, C1_MIN, _iter_balance, _iter_components, check_all
 from hamfix.model import (
     DIM,
     N_POINTS,
@@ -272,6 +272,73 @@ def test_balance_cut_matches_leaf_screen(spec):
     slow = enumerate_configurations(dataclasses.replace(spec, prune_balance=False), workers=1)
     assert fast.configurations and fast.configurations == slow.configurations
     assert fast.stats.nodes < slow.stats.nodes and slow.stats.pruned["balance"] == 0
+
+
+def _reachable_sums(up, down, floor, maxw):
+    """Every sum of ``up`` weights minus ``down`` weights, each in [floor, maxw]."""
+    ws = range(floor, maxw + 1)
+    ups = {sum(c) for c in itertools.combinations_with_replacement(ws, up)}
+    downs = {sum(c) for c in itertools.combinations_with_replacement(ws, down)}
+    return {a - b for a in ups for b in downs}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SearchSpec(5, 16), SearchSpec(5, 12, prune_extremal=False)],
+    ids=["5-16", "5-12-no-extremal"],
+)
+def test_narrowed_targets_match_fresh_targets(spec, monkeypatch):
+    # each floor re-tests only the target vectors the floor below kept; they
+    # must be exactly those a fresh computation at that floor keeps: every
+    # integral first-Chern multiple, against the weight sums each vertex's
+    # slots reach (an extremal edge carrying its gap when that rule is on)
+    calls = collections.defaultdict(list)
+    real = search._in_reach
+
+    def recording(spec, gaps, targets, floor):
+        got = real(spec, gaps, targets, floor)
+        calls[gaps].append((floor, got))
+        return got
+
+    monkeypatch.setattr(search, "_in_reach", recording)
+    enumerate_configurations(spec, workers=1)
+    maxw = spec.max_weight
+    reach = {}
+    kinds = collections.Counter()
+    for gaps in _gap_vectors(spec):
+        if spec.prune_extremal and max(gaps[0], gaps[4]) > maxw:
+            assert gaps not in calls
+            continue
+        phi = (0, *itertools.accumulate(gaps))
+        walked = calls[gaps]
+        assert [floor for floor, _ in walked] == list(range(1, len(walked) + 1))
+        for floor, got in walked:
+            want = []
+            for k in range(C1_MIN, C1_MAX + 1):
+                if k * sum(phi) % N_POINTS:
+                    continue
+                targets = tuple(k * sum(phi) // N_POINTS - k * p for p in phi)
+                fits = True
+                for v in range(N_POINTS):
+                    up, down, fixed = DIM - v, v, 0
+                    if spec.prune_extremal and v == 0:
+                        up, fixed = up - 1, gaps[0]
+                    elif spec.prune_extremal and v == DIM:
+                        down, fixed = down - 1, -gaps[4]
+                    if (up, down, floor) not in reach:
+                        reach[up, down, floor] = _reachable_sums(up, down, floor, maxw)
+                    fits = fits and targets[v] - fixed in reach[up, down, floor]
+                if fits:
+                    want.append(targets)
+            assert got == want, (gaps, floor)
+        # the walk stops at its last floor or at the first without targets
+        last = min(gaps[0], gaps[4]) if spec.prune_extremal else maxw
+        assert walked[-1][0] == last or not walked[-1][1], gaps
+        sizes = [len(got) for _, got in walked]
+        kinds["walked"] += len(walked)
+        kinds["narrowed"] += sum(0 < b < a for a, b in zip(sizes, sizes[1:]))
+        kinds["emptied"] += len(walked) > 1 and not sizes[-1]
+    assert all(kinds.values()), kinds
 
 
 def test_full_brute_force_equivalence_tiny():
