@@ -18,15 +18,16 @@ target vectors are computed once, and each floor re-tests only those the
 floor below kept.  A gap vector that survives the extremal and weight-sum
 tests gets a cell plan per floor: one tuple per cell holding its multiset
 tables by slot count (one tuple per allowed weights and floor, built once
-per chunk and shared by every plan), whether it closes a vertex's upward or
+per process and shared by every plan), whether it closes a vertex's upward or
 downward slots, and the weight bounds of the cells still open at its two
 vertices, so the nested ``dfs`` closure reads everything it needs at a cell
-from one entry, keeps its slot and weight-sum state in local lists and its
-counters in local ints.  A complete leaf goes to ``_leaf``, a pure gate that
-returns the configuration or ``None``: the smallest-weight balance of the
-walk's own floor counters, then the rule walk's isotropy-component pass on
-the raw cells, then, for the survivors only, the objects, ``is_valid``, the
-filters and Chern integrality.  ``_search_gap`` counts the rejected leaves
+from one entry, keeps its slot and weight-sum state and the leaf's multiset
+per cell in local lists and its counters in local ints.  A complete leaf
+goes to ``_leaf`` with the moment values, a pure gate that returns the
+configuration or ``None``: the smallest-weight balance of the walk's own
+floor counters, then the rule walk's isotropy-component pass on the raw
+cells, then, for the survivors only, the objects, ``is_valid``, the filters
+and Chern integrality.  ``_search_gap`` counts the rejected leaves
 and sends every accepted one to the sink.  Four pruning rules can be
 toggled off independently, in which case the same final set is produced by
 brute force:
@@ -65,6 +66,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import accumulate, combinations, combinations_with_replacement
 from math import gcd
 
@@ -257,22 +259,22 @@ def _in_reach(spec: SearchSpec, gaps: tuple[int, ...], targets: list, floor: int
 # the per-gap-vector DFS
 
 
-def _tables(memo: dict, allowed: tuple[int, ...], wm: int) -> tuple:
-    """``tables[m]`` for m = 0..DIM: the size-m multisets of the sorted
+@cache
+def _tables(allowed: tuple[int, ...], wm: int) -> tuple:
+    """``tables[m]`` for m = 0..DIM-1: the size-m multisets of the sorted
     ``allowed`` weights sorted by sum, as ``(sums, multisets, counts)``,
     where ``counts[k]`` is how many ``wm`` the k-th multiset holds.  Built
-    once per ``(allowed, wm)`` in the chunk's ``memo`` and shared by every
-    plan and cell that allows those weights under that floor."""
-    key = (allowed, wm)
-    tables = memo.get(key)
-    if tables is None:
-        built = []
-        for m in range(DIM + 1):
-            # stable on the lexicographic order the combinations come in
-            msets = tuple(sorted(combinations_with_replacement(allowed, m), key=sum))
-            built.append((tuple(map(sum, msets)), msets, tuple(ws.count(wm) for ws in msets)))
-        tables = memo[key] = tuple(built)
-    return tables
+    once per ``(allowed, wm)`` in the process and shared by every plan and
+    cell that allows those weights under that floor.  No cell places DIM
+    slots: a cell places at most its lower vertex i's DIM - i upward slots,
+    and cell (0, 1), vertex 1's only downward cell, takes one of vertex 0's
+    before any other cell of row 0."""
+    built = []
+    for m in range(DIM):
+        # stable on the lexicographic order the combinations come in
+        msets = tuple(sorted(combinations_with_replacement(allowed, m), key=sum))
+        built.append((tuple(map(sum, msets)), msets, tuple(ws.count(wm) for ws in msets)))
+    return tuple(built)
 
 
 def _allowed_table(spec: SearchSpec, gaps: tuple[int, ...], phi: tuple[int, ...]) -> dict:
@@ -299,14 +301,14 @@ def _span(bound, ws):
     return (min(bound[0], ws[0]), max(bound[1], ws[-1]))
 
 
-def _cell_plan(table: dict, floor: int, memo: dict) -> tuple:
+def _cell_plan(table: dict, floor: int) -> tuple:
     """One entry per cell (i, j) of ``PAIRS``, everything the DFS reads at that cell.
 
     An entry is ``(i, j, tables, last_up, last_down, row_lo, row_hi, up_j_lo,
     up_j_hi, down_lo, down_hi)``.  ``tables`` is ``_tables`` of the cell's
     allowed weights from ``table`` that are at least ``floor`` (a slice of
-    the sorted tuple), with ``counts`` counting ``floor``: the one tuple in
-    ``memo`` that every plan of the chunk shares.  Then come whether the
+    the sorted tuple), with ``counts`` counting ``floor``: the one tuple
+    that every plan of the process shares.  Then come whether the
     cell is the last upward cell of i and the last downward cell of j; the
     (min, max) allowed weight over the cells after j in row i; the least and
     most weight sum j's DIM - j upward slots can carry, all still open at
@@ -334,7 +336,7 @@ def _cell_plan(table: dict, floor: int, memo: dict) -> tuple:
             (
                 i,
                 j,
-                _tables(memo, allowed[(i, j)], floor),
+                _tables(allowed[(i, j)], floor),
                 j == N_POINTS - 1,
                 i == j - 1,
                 row_lo,
@@ -348,16 +350,16 @@ def _cell_plan(table: dict, floor: int, memo: dict) -> tuple:
     return tuple(plan)
 
 
-def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sink, memo) -> None:
+def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sink) -> None:
     """DFS over the edge cells of one gap vector, once per floor and weight-sum
     target vector.
 
     The gap vector is first rejected on the extremal and weight-sum tests, and
-    only a survivor builds its moment profile and allowed-weight table.  With
-    ``balance`` on, the walk runs once per floor ``wm``, the leaf's global
-    smallest weight: each floor keeps the weight-sum targets of the floor
-    below that stay feasible with every weight >= ``wm``, and the floors from
-    the first that keeps none are skipped; cells allow only weights >= ``wm``,
+    only a survivor builds its allowed-weight table.  With ``balance`` on, the
+    walk runs once per floor ``wm``, the leaf's global smallest weight: each
+    floor keeps the weight-sum targets of the floor below that stay feasible
+    with every weight >= ``wm``, and the floors from the first that keeps
+    none are skipped; cells allow only weights >= ``wm``,
     and ``plus[v]``/``minus[v]`` count the ``wm`` slots leaving and entering
     v.  Row i's first cell (i, i + 1) places the last of i + 1's downward
     cells, so from there on ``minus[i + 1]`` is final and, at every cell of
@@ -386,7 +388,6 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
     if not candidates:
         pruned["gamma"] += 1
         return
-    profile = MomentProfile(phi)
     table = _allowed_table(spec, gaps, phi)
     balance = spec.prune_balance
     if not balance:
@@ -409,7 +410,7 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
     def dfs(ci: int) -> None:
         nonlocal nodes, n_gamma, n_slot, n_balance, n_final
         if ci == n_cells:
-            config = _leaf(spec, profile, acc, plus, minus)
+            config = _leaf(spec, phi, acc, plus, minus)
             if config is None:
                 n_final += 1
             else:
@@ -498,7 +499,7 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
                 psum[j] = pj - s
                 plus[i] = plus_i + c
                 minus[j] = minus_j + c
-                acc[ci] = (i, j, msets[k])
+                acc[ci] = msets[k]
                 dfs(nxt)
             up[i], down[j] = ui, dj
             psum[i], psum[j] = pi, pj
@@ -511,7 +512,7 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
                 if not candidates:
                     pruned["gamma"] += len(floors) - n  # every floor from wm up
                     break
-            plan = _cell_plan(table, wm, memo)
+            plan = _cell_plan(table, wm)
             for targets in candidates:
                 dfs(0)
     finally:
@@ -522,13 +523,15 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
         pruned["final"] += n_final
 
 
-def _leaf(spec: SearchSpec, profile: MomentProfile, acc, plus, minus) -> Configuration | None:
-    """The configuration a complete leaf's ``(i, j, weights)`` cells spell, or
-    ``None`` if a gate rejects it.
+def _leaf(spec: SearchSpec, phi: tuple[int, ...], acc, plus, minus) -> Configuration | None:
+    """The configuration that the moment values ``phi`` and a complete leaf's
+    cells spell, or ``None`` if a gate rejects it; ``acc[ci]`` holds the
+    weights of cell ``PAIRS[ci]``.
 
     The gates run in this order: the walk's floor counters, the rule walk's
     isotropy-component pass on the raw cells, then, for the few leaves that
-    pass both, the objects, ``is_valid``, the filters and Chern integrality.
+    pass both, the objects (the moment profile first), ``is_valid``, the
+    filters and Chern integrality.
     ``plus[v]``/``minus[v]`` count the floor-weight slots leaving and entering
     v.  With ``balance`` on, the row cuts already balance them.  With it off,
     the floor is 1, so on a leaf holding a weight-1 slot the test is exactly
@@ -541,9 +544,8 @@ def _leaf(spec: SearchSpec, profile: MomentProfile, acc, plus, minus) -> Configu
     edges, weights = _leaf_plain(acc)
     if next(_iter_components(edges, weights), None) is not None:
         return None
-    config = Configuration(
-        profile, tuple([WeightEdge(*e) for e in edges]), effective=spec.require_effective
-    )
+    edges = tuple([WeightEdge(*e) for e in edges])
+    config = Configuration(MomentProfile(phi), edges, effective=spec.require_effective)
     if (
         not is_valid(config)
         or (spec.c1 is not None and compute_c1(config) != spec.c1)
@@ -558,28 +560,24 @@ def _leaf(spec: SearchSpec, profile: MomentProfile, acc, plus, minus) -> Configu
 
 
 def _leaf_plain(acc) -> tuple[list, list]:
-    """A leaf's ``(i, j, weights)`` cells as plain ``(lo, hi, w, mult)`` edges
-    and per-vertex signed weights, the form ``_iter_components`` reads."""
+    """A leaf's cells, ``acc[ci]`` the weights of ``PAIRS[ci]``, as plain
+    ``(lo, hi, w, 1)`` edges, one per slot, and per-vertex signed weights:
+    the form ``_iter_components`` reads, which only sums multiplicities
+    (``Configuration`` merges equal weights for the leaves that get one)."""
     edges = []
     signed: list[list[int]] = [[] for _ in range(N_POINTS)]
-    for i, j, weights in acc:
-        if weights:
-            signed[i] += weights
-            signed[j] += [-w for w in weights]
-            w = weights[0]
-            if w == weights[-1]:  # the sorted multiset holds one weight
-                edges.append((i, j, w, len(weights)))
-            else:
-                edges += [(i, j, w, weights.count(w)) for w in set(weights)]
+    for (i, j), weights in zip(PAIRS, acc):
+        signed[i] += weights
+        signed[j] += [-w for w in weights]
+        edges += [(i, j, w, 1) for w in weights]
     return edges, signed
 
 
 def _search_chunk(spec: SearchSpec, gap_chunk) -> tuple[list[Configuration], SearchStats]:
     stats = SearchStats()
     sink: list[Configuration] = []
-    memo: dict = {}
     for gaps in gap_chunk:
-        _search_gap(spec, gaps, stats, sink, memo)
+        _search_gap(spec, gaps, stats, sink)
     return sink, stats
 
 
@@ -768,22 +766,18 @@ def verify_theorem2(max_width: int | None = None, workers: int | None = None) ->
         ):
             set3.append(idx)
     equal = set1 == set2 == set3
-    mult_ok = True
-    pairs_ok = True
-    for idx in set1:
-        ws = pool[idx].weight_system
-        for v in range(N_POINTS):
-            if sum(1 for w in ws.weights[v] if abs(w) == 5) > 1:
-                mult_ok = False
-        five_pairs = {(e.lo, e.hi) for e in pool[idx].edges if e.w == 5}
-        if five_pairs != {(0, 5), (1, 3), (2, 4)}:
-            pairs_ok = False
-    passed = equal and mult_ok and pairs_ok
+    # the three simple edges cover each of the six vertices once
+    simple = all(
+        sorted((e.lo, e.hi, e.mult) for e in pool[idx].edges if e.w == 5)
+        == [(0, 5, 1), (1, 3, 1), (2, 4, 1)]
+        for idx in set1
+    )
+    passed = equal and simple
     summary = (
         f"pool of {len(pool)} configurations: conditions select "
         f"{len(set1)}/{len(set2)}/{len(set3)} members; "
         + ("equivalent" if equal else "NOT equivalent")
-        + (", |5| simple at every endpoint" if mult_ok and pairs_ok else ", multiplicity failure")
+        + (", |5| simple at every endpoint" if simple else ", multiplicity failure")
         + f"; {_width_clause(res.spec)}"
     )
     return TheoremReport(

@@ -37,7 +37,7 @@ from hamfix import (
 )
 from hamfix.cohomology import one_class
 from hamfix.model import sort_key
-from hamfix.search import o_weight_system, theorem4_weight_system
+from hamfix.search import PRUNE_RULES, o_weight_system, theorem4_weight_system
 
 FIXTURES = (
     ("o", ()),
@@ -54,6 +54,18 @@ THM3_WS = (
     (-5, -4, -3, -1, 1),
     (-5, -4, -3, -2, -1),
 )
+
+#: the thm4 searches' statistics, nodes and then the counts pruned per rule:
+#: the only tier-1 searches through the largest-weight and effectiveness filters
+THM4_STATS = {
+    (1, 3): (1184, 0, 3759, 4, 422, 34),
+    (2, 3): (2357, 0, 10878, 8, 464, 9),
+    (1, 6): (3094, 0, 13925, 56, 525, 66),
+}
+
+
+def _stats(nodes, *pruned):
+    return {"nodes": nodes, "pruned": dict(zip(PRUNE_RULES, pruned))}
 
 
 def _ok(n: int, text: str) -> None:
@@ -121,6 +133,7 @@ def test_criterion_05_theorem1_desk_scale():
     assert report.passed
     assert report.data["configurations"] == 0
     assert elapsed < 300
+    assert report.stats.to_dict() == _stats(303605, 276864, 1221912, 6726, 73280, 2805)
     sharp = verify_theorem1(max_weight=5)
     assert sharp.passed
     systems = {tuple(tuple(row) for row in w) for w in sharp.data["weight_systems"]}
@@ -148,6 +161,7 @@ def test_criterion_07_theorem4_parametric():
         elapsed = time.monotonic() - t0
         assert report.passed, (a, c, report.summary)
         assert elapsed < 60
+        assert report.stats.to_dict() == _stats(*THM4_STATS[a, c]), (a, c)
     assert theorem4_weight_system(1, 3) == THM3_WS
     _ok(7, "parametric uniqueness at (1,3), (2,3), (1,6); (1,3) matches the width-10 data")
 

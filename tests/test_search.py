@@ -6,6 +6,7 @@ import collections
 import dataclasses
 import itertools
 import json
+import random
 import subprocess
 import sys
 
@@ -31,6 +32,7 @@ from hamfix.model import (
     DIM,
     N_POINTS,
     Configuration,
+    MomentProfile,
     WeightEdge,
     _has_edge,
     canonicalize,
@@ -182,53 +184,72 @@ def test_single_toggle_soundness_small(toggle):
 _COMPONENT_RULES = ("ComponentRegularity", "IndexBound", "SmallestWeightBalance", "ModK")
 
 
+#: the component rules whose rejections check_all samples rather than runs on all
+_SAMPLED_RULES = ("ComponentRegularity", "SmallestWeightBalance", "ModK")
+
+
 @pytest.mark.parametrize("balance", [True, False])
 def test_leaf_component_screen_matches_check_all(balance, monkeypatch):
     # every leaf the DFS reaches: the floor counters _leaf screens first
     # balance exactly when the global smallest-weight rule holds or (with
     # balance off, at floor 1) the leaf holds no weight-1 slot; the component
     # pass on its raw cells rejects exactly the leaves whose configuration has
-    # a component violation in check_all, and names one of them
+    # a component violation in check_all, and names one of them.  check_all
+    # runs on every leaf the pass accepts or rejects as IndexBound, and on a
+    # seeded sample of the far more numerous rejections by each other rule
     leaves = []
     real_leaf = search._leaf
 
-    def recording_leaf(spec, profile, acc, plus, minus):
-        leaves.append((profile, tuple(acc), plus[:], minus[:]))
-        return real_leaf(spec, profile, acc, plus, minus)
+    def recording_leaf(spec, phi, acc, plus, minus):
+        leaves.append((phi, tuple(acc), plus[:], minus[:]))
+        return real_leaf(spec, phi, acc, plus, minus)
 
     monkeypatch.setattr(search, "_leaf", recording_leaf)
     res = enumerate_configurations(SearchSpec(5, 10, prune_balance=balance), workers=1)
     assert len(leaves) > res.stats.pruned["final"] > 0
-    verdicts = set()
     # (counters balance, leaf holds a weight-1 slot) -> leaves
     kinds = collections.Counter()
-    for profile, acc, plus, minus in leaves:
+    # the rule of the pass's first violation (None: accepted) -> leaves
+    by_rule = collections.defaultdict(list)
+    for phi, acc, plus, minus in leaves:
         edges, weights = search._leaf_plain(acc)
         counted = plus[:DIM] == minus[1:]
         globally = not any(_iter_balance(edges, range(N_POINTS), DIM, None, range(N_POINTS)))
-        has_one = any(1 in ws for _, _, ws in acc)
+        has_one = any(1 in ws for ws in acc)
         if balance:
             assert counted and globally, acc
         else:
             assert any(plus) == has_one and counted == (not has_one or globally), acc
         kinds[counted, has_one] += 1
         first = next(_iter_components(edges, weights), None)
-        config = Configuration(profile, tuple(WeightEdge(*e) for e in edges))
-        assert tuple(tuple(sorted(ws)) for ws in weights) == config.weight_system.weights
-        # the global balance rule shares its name; its detail says "globally"
-        expected = [
-            v
-            for v in check_all(config).violations
-            if v.rule in _COMPONENT_RULES and not v.detail.startswith("globally")
-        ]
-        assert (first is None) == (not expected), acc
-        assert first is None or first in expected, acc
-        verdicts.add(first is None)
-    assert verdicts == {True, False}
+        by_rule[None if first is None else first.rule].append((phi, edges, weights, first))
+    assert None in by_rule and len(by_rule) > 1
+    rng = random.Random(20261019)
+    for rule, group in by_rule.items():
+        if rule in _SAMPLED_RULES:
+            group = rng.sample(group, min(len(group), 150))
+        for phi, edges, weights, first in group:
+            config = Configuration(MomentProfile(phi), tuple(WeightEdge(*e) for e in edges))
+            assert tuple(tuple(sorted(ws)) for ws in weights) == config.weight_system.weights
+            # the global balance rule shares its name; its detail says "globally"
+            expected = [
+                v
+                for v in check_all(config).violations
+                if v.rule in _COMPONENT_RULES and not v.detail.startswith("globally")
+            ]
+            assert (first is None) == (not expected), edges
+            assert first is None or first in expected, edges
     if not balance:
         # rejected by the counters, balanced with a weight-1 slot, no weight-1 slot
         assert kinds == {(False, True): 32968, (True, True): 433, (True, False): 410}
         assert res.stats.pruned["final"] >= kinds[False, True]
+        assert {rule: len(group) for rule, group in by_rule.items()} == {
+            None: 1538,
+            "ComponentRegularity": 24743,
+            "IndexBound": 65,
+            "SmallestWeightBalance": 5239,
+            "ModK": 2226,
+        }
 
 
 def test_toggle_soundness_nonempty_pool():
@@ -239,9 +260,9 @@ def test_toggle_soundness_nonempty_pool():
     no_l10 = enumerate_configurations(SearchSpec(5, 6, prune_extremal=False), workers=1)
     with_l10 = enumerate_configurations(SearchSpec(5, 6), workers=1)
     assert no_l10.configurations == with_l10.configurations
-    pin = (1, 3, 2, 3, 1)
+    pin = (1, 1, 2, 1, 1)  # its one member has first-Chern multiple 5
     pinned = enumerate_configurations(SearchSpec(5, 10, gaps=pin), workers=1)
-    assert len(pinned.configurations) == 2
+    assert len(pinned.configurations) == 1
     no_gamma = enumerate_configurations(SearchSpec(5, 10, gaps=pin, prune_gamma=False), workers=1)
     assert no_gamma.configurations == pinned.configurations
 
@@ -497,6 +518,45 @@ def test_verifiers_share_one_search(cold_pool, monkeypatch):
     assert reports[2].stats.to_dict() == _stats(25460, 1, 85782, 427, 9377, 431)
 
 
+def _doubled_05(o):
+    """``o`` with its edges (0, 4) and (1, 5), both of weight 3, traded for a
+    second weight-5 edge (0, 5) and a weight-3 edge (1, 4): every slot count
+    still holds, and |5| sits twice at vertices 0 and 5."""
+    edges = [e for e in o.edges if (e.lo, e.hi) not in ((0, 4), (1, 5))]
+    return Configuration(o.profile, (*edges, WeightEdge(0, 5, 5), WeightEdge(1, 4, 3)))
+
+
+@pytest.mark.parametrize(
+    "make, verdict",
+    [
+        (lambda: builtin("o"), "1/1/1 members; equivalent, |5| simple at every endpoint"),
+        # width 5, and its only weight-5 edge is (0, 5)
+        (
+            lambda: builtin("cp5", 1, 1, 1, 1, 1),
+            "1/0/0 members; NOT equivalent, multiplicity failure",
+        ),
+        (lambda: _doubled_05(builtin("o")), "1/1/1 members; equivalent, multiplicity failure"),
+    ],
+    ids=["o", "cp5-one-edge", "o-doubled-05"],
+)
+def test_theorem2_multiplicity_verdict(make, verdict, monkeypatch):
+    # a pool of one configuration, read as a member of first-Chern multiple 3
+    config = make()
+
+    def pool(spec, workers):
+        return search.SearchResult(spec, (config,), SearchStats())
+
+    monkeypatch.setattr(search, "_pool", pool)
+    monkeypatch.setattr(search, "compute_c1", lambda c: 3)
+    report = verify_theorem2(10, workers=1)
+    assert report.data["c1_3"] == [0]
+    assert report.passed == verdict.endswith("simple at every endpoint")
+    assert report.summary == (
+        f"pool of 1 configurations: conditions select {verdict}; "
+        "width <= 10 is below the proved bound 50"
+    )
+
+
 def test_verifier_output_independent_of_workers(monkeypatch):
     docs = []
     for workers in (1, 2):
@@ -529,9 +589,9 @@ def test_width_bound_is_exhaustive(extremal):
         assert spec.max_width == 10 * w
         cuts = itertools.combinations(range(1, 10 * w + 4), DIM)
         vectors = [tuple(b - a for a, b in zip((0, *c), c)) for c in cuts if c[-1] > 10 * w]
-        stats, sink, memo = SearchStats(), [], {}
+        stats, sink = SearchStats(), []
         for gaps in vectors:
-            search._search_gap(spec, gaps, stats, sink, memo)
+            search._search_gap(spec, gaps, stats, sink)
         assert stats.nodes == 0 and sink == []
         assert stats.pruned["extremal"] + stats.pruned["gamma"] == len(vectors)
 
