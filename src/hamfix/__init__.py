@@ -27,14 +27,11 @@ from .cohomology import (
     CohomologyError,
     ConsistencyError,
     DualityError,
-    EquivariantBasis,
     EquivariantClass,
     IntegralityError,
     RingPresentation,
     chern_restrictions,
     cohomology_report,
-    equivariant_basis,
-    expand_in_basis,
     localize_integral,
     ring_presentation,
     total_chern,

@@ -6,11 +6,11 @@ equivariant generator ``t``, so a class is a degree plus six rational
 coefficients; products multiply coefficients and add degrees.  All
 arithmetic is exact -- integrality failures are real obstructions, never
 rounding noise.  Classes hold ``fractions.Fraction`` coefficients; the
-Chern expansions run in integers, with the basis scaled by ``a_5`` (every
-``a_i`` divides it, by duality), and fall back to fractions only to raise
-the error of a row that is not integral or not consistent.  Every function
-here that takes a configuration reads its one cached weight system,
-``Configuration.weight_system``.
+Chern expansion runs in integers, with the basis scaled by ``a_5`` (every
+``a_i`` divides it, by duality).  A coefficient that does not divide out is
+kept as an exact fraction, so the row is still checked at every vertex and
+raises the error it owes.  Every function here that takes a configuration
+reads its one cached weight system, ``Configuration.weight_system``.
 """
 
 from __future__ import annotations
@@ -66,18 +66,6 @@ class EquivariantClass:
 
 
 @dataclass(frozen=True)
-class EquivariantBasis:
-    """Module basis with the triangular vanishing pattern.
-
-    ``classes[i]`` vanishes at vertices below ``i`` and restricts at vertex
-    ``i`` to the product of the negative weights there times ``t**i``.
-    """
-
-    classes: tuple[EquivariantClass, ...]
-    a: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class RingPresentation:
     """Rational multipliers q_i with alpha_i = q_i [omega]^i, and a_i = 1/q_i."""
 
@@ -99,10 +87,6 @@ class ChernReport:
 
 
 # ---------------------------------------------------------------------------
-
-
-def one_class() -> EquivariantClass:
-    return EquivariantClass(0, (Fraction(1),) * N_POINTS)
 
 
 def u_tilde(c: Configuration) -> EquivariantClass:
@@ -142,17 +126,6 @@ def ring_presentation(c: Configuration) -> RingPresentation:
                 f"{q[i] * q[N_POINTS - 1 - i]} != q_{N_POINTS - 1} = {q[N_POINTS - 1]}"
             )
     return RingPresentation(tuple(q), tuple(a))
-
-
-def equivariant_basis(c: Configuration) -> EquivariantBasis:
-    """Build the triangular basis classes and verify their vanishing pattern."""
-    rp = ring_presentation(c)
-    a5 = rp.a[-1]
-    classes = tuple(
-        EquivariantClass(2 * i, tuple(Fraction(x, a5) for x in row))
-        for i, row in enumerate(_scaled_basis(c, rp))
-    )
-    return EquivariantBasis(classes, rp.a)
 
 
 def _scaled_basis(c: Configuration, rp: RingPresentation) -> list[list[int]]:
@@ -195,75 +168,46 @@ def chern_restrictions(ws: WeightSystem, m: int) -> EquivariantClass:
     )
 
 
-def expand_in_basis(
-    x: EquivariantClass,
-    basis: EquivariantBasis,
-    require_integral: bool = False,
-) -> tuple:
-    """Coefficients d_0..d_m with x = sum d_i t^(m-i) basis_i.
-
-    Solved triangularly from the restrictions at the lowest m+1 vertices,
-    then verified against the remaining ones (ConsistencyError on mismatch).
-    With ``require_integral`` every coefficient must be an integer.
-    """
-    m = x.degree // 2
-    if m > DIM:
-        raise ValueError(f"degree {x.degree} exceeds the manifold dimension")
-    d: list[Fraction] = []
-    for p in range(m + 1):
-        acc = Fraction(0)
-        for i in range(p):
-            acc += d[i] * basis.classes[i].coeffs[p]
-        lead = basis.classes[p].coeffs[p]
-        d.append((x.coeffs[p] - acc) / lead)
-    for p in range(m + 1, N_POINTS):
-        acc = sum((d[i] * basis.classes[i].coeffs[p] for i in range(m + 1)), Fraction(0))
-        if acc != x.coeffs[p]:
-            raise ConsistencyError(
-                f"expansion solved at vertices 0..{m} restricts to {acc} at "
-                f"vertex {p}, but the class restricts to {x.coeffs[p]}"
-            )
-    if require_integral:
-        bad = [i for i, v in enumerate(d) if v.denominator != 1]
-        if bad:
-            raise IntegralityError(
-                f"expansion coefficients at positions {bad} are not integers: "
-                f"{[str(d[i]) for i in bad]}"
-            )
-        return tuple(int(v) for v in d)
-    return tuple(d)
-
-
 def total_chern(c: Configuration) -> ChernReport:
     """Expand every equivariant Chern class; the diagonal gives the ordinary ones."""
     return _total_chern(c, ring_presentation(c))
 
 
 def _total_chern(c: Configuration, rp: RingPresentation) -> ChernReport:
-    """:func:`expand_in_basis` of each Chern class, in integers scaled by
-    ``a_5``; a row that is not integral or not consistent is expanded again
-    in fractions, which raises the error that row owes."""
+    """Each Chern class c_m = sum_i d_{m,i} t^(m-i) basis_i, in integers
+    scaled by ``a_5``.
+
+    The d_{m,i} are solved triangularly from the restrictions at vertices
+    0..m; one that does not divide out is kept as an exact ``Fraction``, so
+    the later sums stay exact.  The row is then checked at the remaining
+    vertices (ConsistencyError on a mismatch) and only after that for
+    integrality (IntegralityError).
+    """
     ws = c.weight_system
     a5 = rp.a[-1]
     basis = _scaled_basis(c, rp)
     rows = []
     for m in range(1, DIM + 1):
         x = [a5 * elementary_symmetric(w, m) for w in ws.weights]
-        d: list[int] = []
+        d: list[int | Fraction] = []
         for p in range(N_POINTS):
             acc = sum([d[i] * basis[i][p] for i in range(min(p, m + 1))])
             if p <= m:
-                q, r = divmod(x[p] - acc, basis[p][p])
-                if r:
-                    break
-                d.append(q)
+                rest = x[p] - acc
+                q, r = divmod(rest, basis[p][p])
+                d.append(Fraction(rest, basis[p][p]) if r else q)
             elif acc != x[p]:
-                break
-        else:
-            rows.append(tuple(d))
-            continue
-        basis_q = equivariant_basis(c)
-        rows.append(expand_in_basis(chern_restrictions(ws, m), basis_q, require_integral=True))
+                raise ConsistencyError(
+                    f"expansion solved at vertices 0..{m} restricts to {Fraction(acc) / a5} "
+                    f"at vertex {p}, but the class restricts to {x[p] // a5}"
+                )
+        bad = [i for i, v in enumerate(d) if isinstance(v, Fraction)]
+        if bad:
+            raise IntegralityError(
+                f"expansion coefficients at positions {bad} are not integers: "
+                f"{[str(d[i]) for i in bad]}"
+            )
+        rows.append(tuple(d))
     ordinary = tuple(rows[m - 1][m] for m in range(1, DIM + 1))
     if ordinary[-1] != N_POINTS:
         raise ConsistencyError(

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -42,3 +43,46 @@ def mutant_corpus():
             Configuration(c.profile, tuple(edges), label=f"{c.label}~e{i}w{w}", effective=c.effective)
         )
     return base + mutants
+
+
+def _slot_matrix_sum(n: int) -> int:
+    """The sum, over every upper-triangular slot matrix (m_ij) with row sums
+    5 - i and column sums j, of prod C(n + m_ij - 1, m_ij): the leaves of one
+    gap vector's walk when each of its cells allows the same n weights."""
+    cells = list(combinations(range(6), 2))
+
+    def walk(k: int, up: list, down: list) -> int:
+        if k == len(cells):
+            return 1
+        i, j = cells[k]
+        # the last cell of a row or of a column takes all that is left
+        lo = max(up[i] if j == 5 else 0, down[j] if i == j - 1 else 0)
+        total = 0
+        for m in range(lo, min(up[i], down[j]) + 1):
+            up[i] -= m
+            down[j] -= m
+            total += comb(n + m - 1, m) * walk(k + 1, up, down)
+            up[i] += m
+            down[j] += m
+        return total
+
+    return walk(0, [5 - i for i in range(6)], list(range(6)))
+
+
+@pytest.fixture(scope="session")
+def closed_form_leaves():
+    """The leaf count, ``final`` plus the configurations, of a search with
+    every pruning rule off, in closed form: over the mirror-canonical gap
+    vectors, the slot-matrix sum with every cell allowing the weights
+    1..max_weight.  Without divisibility the cells do not depend on the
+    gaps, so that sum is taken once."""
+
+    def count(max_weight: int, max_width: int) -> int:
+        gaps = [
+            g
+            for g in product(range(1, max_width + 1), repeat=5)
+            if sum(g) <= max_width and g <= g[::-1]
+        ]
+        return len(gaps) * _slot_matrix_sum(max_weight)
+
+    return count

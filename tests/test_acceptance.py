@@ -11,9 +11,11 @@ from __future__ import annotations
 import json
 import time
 from fractions import Fraction
+from math import prod
 
 from hamfix import (
     Configuration,
+    EquivariantClass,
     SearchSpec,
     WeightEdge,
     builtin,
@@ -23,7 +25,6 @@ from hamfix import (
     compute_c1,
     derive_weight_system,
     enumerate_configurations,
-    equivariant_basis,
     localize_integral,
     o_gkm_graph,
     project_gkm,
@@ -35,7 +36,6 @@ from hamfix import (
     verify_theorem3,
     verify_theorem4,
 )
-from hamfix.cohomology import one_class
 from hamfix.model import sort_key
 from hamfix.search import PRUNE_RULES, o_weight_system, theorem4_weight_system
 
@@ -112,16 +112,22 @@ def test_criterion_04_localization_identities():
     o = builtin("o")
     ws = derive_weight_system(o)
     u = u_tilde(o)
-    assert localize_integral(one_class(), ws) == 0
+    one = EquivariantClass(0, (1,) * 6)
+    # the top basis class: prod_{j<5} (phi_j - phi_p) / a_5 at vertex p
+    phi, a5 = o.profile.values, ring_presentation(o).a[5]
+    top = EquivariantClass(
+        10, tuple(Fraction(prod(phi[j] - phi[p] for j in range(5)), a5) for p in range(6))
+    )
+    assert localize_integral(one, ws) == 0
     for m in range(1, 5):
         assert localize_integral(u**m, ws) == 0
     assert localize_integral(u**5, ws) == 18
-    assert localize_integral(equivariant_basis(o).classes[5], ws) == 1
+    assert localize_integral(top, ws) == 1
     assert localize_integral(chern_restrictions(ws, 5), ws) == 6
     for name, params in FIXTURES:
         c = builtin(name, *params)
         wsc = derive_weight_system(c)
-        assert localize_integral(one_class(), wsc) == 0
+        assert localize_integral(one, wsc) == 0
         assert localize_integral(chern_restrictions(wsc, 5), wsc) == 6
     _ok(4, "localization: deg<10 integrate to 0, omega^5 -> 18, top Chern -> 6")
 
@@ -186,7 +192,7 @@ def test_criterion_09_gkm_projection():
     _ok(9, "torus projection along (1,2) reproduces the builtin configuration")
 
 
-def test_criterion_10i_oracle_equivalence():
+def test_criterion_10i_oracle_equivalence(closed_form_leaves):
     pruned = enumerate_configurations(SearchSpec(2, 6))
     brute = enumerate_configurations(
         SearchSpec(
@@ -199,7 +205,11 @@ def test_criterion_10i_oracle_equivalence():
         )
     )
     assert pruned.configurations == brute.configurations
-    _ok(10, "(i) pruned and unpruned enumerations agree at weights<=2, width<=6")
+    # both pools are empty, so the brute force's leaves are also counted
+    # against the closed form, which no slot cut of the walk enters
+    leaves = brute.stats.pruned["final"] + len(brute.configurations)
+    assert leaves == closed_form_leaves(2, 6) == 14_248_064
+    _ok(10, f"(i) pruned and unpruned enumerations agree at weights<=2, width<=6; {leaves} leaves")
 
 
 def test_criterion_10ii_mutation_sensitivity():

@@ -25,14 +25,12 @@ from hamfix import (
     chern_restrictions,
     cohomology_report,
     derive_weight_system,
-    equivariant_basis,
-    expand_in_basis,
     localize_integral,
     ring_presentation,
     total_chern,
     u_tilde,
 )
-from hamfix.cohomology import EquivariantBasis, elementary_symmetric, one_class
+from hamfix.cohomology import _scaled_basis, elementary_symmetric
 from hamfix.model import PAIRS
 
 
@@ -178,25 +176,57 @@ def test_cohomology_reports_pinned_on_mutant_corpus(mutant_corpus):
     )
 
 
-def _chern_reference(c):
-    """total_chern in ``Fraction`` arithmetic: basis classes from their
-    formula, each row through expand_in_basis, then the top-coefficient test."""
-    rp = ring_presentation(c)
-    ws = derive_weight_system(c)
+def _basis(c):
+    """The triangular basis classes from their formula: class i restricts at
+    vertex p to prod_{j<i} (phi_j - phi_p) / a_i times t^i, so it vanishes
+    below vertex i and restricts there to the negative weights' product."""
+    a = ring_presentation(c).a
     phi = c.profile.values
-    classes = tuple(
+    return tuple(
         EquivariantClass(
             2 * i,
-            tuple(
-                Fraction(prod(phi[j] - phi[p] for j in range(i)), rp.a[i])
-                for p in range(6)
-            ),
+            tuple(Fraction(prod(phi[j] - phi[p] for j in range(i)), a[i]) for p in range(6)),
         )
         for i in range(6)
     )
-    basis = EquivariantBasis(classes, rp.a)
+
+
+def _expand_in_basis(x, basis, require_integral=False):
+    """Coefficients d_0..d_m with x = sum d_i t^(m-i) basis[i], in ``Fraction``
+    arithmetic: solved triangularly from the restrictions at the lowest m+1
+    vertices, then verified against the remaining ones (ConsistencyError on
+    a mismatch).  With ``require_integral`` every coefficient must be an
+    integer (IntegralityError)."""
+    m = x.degree // 2
+    d = []
+    for p in range(m + 1):
+        acc = sum((d[i] * basis[i].coeffs[p] for i in range(p)), Fraction(0))
+        d.append((x.coeffs[p] - acc) / basis[p].coeffs[p])
+    for p in range(m + 1, 6):
+        acc = sum((d[i] * basis[i].coeffs[p] for i in range(m + 1)), Fraction(0))
+        if acc != x.coeffs[p]:
+            raise ConsistencyError(
+                f"expansion solved at vertices 0..{m} restricts to {acc} at "
+                f"vertex {p}, but the class restricts to {x.coeffs[p]}"
+            )
+    if require_integral:
+        bad = [i for i, v in enumerate(d) if v.denominator != 1]
+        if bad:
+            raise IntegralityError(
+                f"expansion coefficients at positions {bad} are not integers: "
+                f"{[str(d[i]) for i in bad]}"
+            )
+        return tuple(int(v) for v in d)
+    return tuple(d)
+
+
+def _chern_reference(c):
+    """total_chern in ``Fraction`` arithmetic: basis classes from their
+    formula, each row through _expand_in_basis, then the top-coefficient test."""
+    ws = derive_weight_system(c)
+    basis = _basis(c)
     rows = tuple(
-        expand_in_basis(chern_restrictions(ws, m), basis, require_integral=True)
+        _expand_in_basis(chern_restrictions(ws, m), basis, require_integral=True)
         for m in range(1, 6)
     )
     ordinary = tuple(rows[m - 1][m] for m in range(1, 6))
@@ -252,12 +282,11 @@ def test_integer_chern_matches_fraction_expansion(mutant_corpus):
 
 
 def test_equivariant_basis(o):
-    basis = equivariant_basis(o)
-    assert basis.a == (1, 1, 3, 6, 18, 18)
-    assert basis.classes[0].coeffs == (Fraction(1),) * 6
-    assert basis.classes[1].coeffs[5] == -10
+    basis = _basis(o)
+    assert basis[0].coeffs == (Fraction(1),) * 6
+    assert basis[1].coeffs[5] == -10
     ws = derive_weight_system(o)
-    for i, cls in enumerate(basis.classes):
+    for i, cls in enumerate(basis):
         assert cls.degree == 2 * i
         for p in range(i):
             assert cls.coeffs[p] == 0
@@ -266,9 +295,13 @@ def test_equivariant_basis(o):
 
 def test_basis_vanishing_pattern_all_fixtures(paper_fixtures):
     for c in paper_fixtures + [builtin("remark_w7")]:
-        basis = equivariant_basis(c)
+        basis = _basis(c)
+        # _scaled_basis, the rows the integer Chern expansion reads, is the
+        # formula's classes scaled by a_5
+        rp = ring_presentation(c)
+        assert _scaled_basis(c, rp) == [[rp.a[5] * x for x in b.coeffs] for b in basis]
         lam_minus = derive_weight_system(c).lam_minus
-        for i, cls in enumerate(basis.classes):
+        for i, cls in enumerate(basis):
             assert all(cls.coeffs[p] == 0 for p in range(i))
             assert cls.coeffs[i] == lam_minus[i]
 
@@ -286,18 +319,18 @@ def test_chern_restrictions(o):
 
 
 def test_expand_in_basis(o):
-    basis = equivariant_basis(o)
+    # the Fraction reference that the integer Chern rows are compared against
+    basis = _basis(o)
     ws = derive_weight_system(o)
-    assert expand_in_basis(chern_restrictions(ws, 1), basis, require_integral=True) == (15, 3)
-    assert expand_in_basis(chern_restrictions(ws, 2), basis, require_integral=True) == (85, 39, 13)
-    assert expand_in_basis(basis.classes[2], basis) == (0, 0, 1)
+    assert _expand_in_basis(chern_restrictions(ws, 1), basis, require_integral=True) == (15, 3)
+    assert _expand_in_basis(chern_restrictions(ws, 2), basis, require_integral=True) == (85, 39, 13)
+    assert _expand_in_basis(basis[2], basis) == (0, 0, 1)
 
 
 def test_expand_consistency_error(o):
-    basis = equivariant_basis(o)
     stray = EquivariantClass(2, (0, 1, 2, 3, 4, 100))
     with pytest.raises(ConsistencyError):
-        expand_in_basis(stray, basis)
+        _expand_in_basis(stray, _basis(o))
 
 
 def test_total_chern_o(o):
@@ -325,7 +358,7 @@ def test_top_chern_counts_fixed_points(paper_fixtures):
         assert d55 == 6
         ws = derive_weight_system(c)
         top = localize_integral(chern_restrictions(ws, 5), ws)
-        assert top == d55 * localize_integral(equivariant_basis(c).classes[5], ws)
+        assert top == d55 * localize_integral(_basis(c)[5], ws)
 
 
 def test_localization_o(o):
@@ -335,14 +368,14 @@ def test_localization_o(o):
         Fraction(1, 120) - Fraction(1, 60) + Fraction(1, 40)
         - Fraction(1, 40) + Fraction(1, 60) - Fraction(1, 120)
     ) == 0
-    assert localize_integral(one_class(), ws) == 0
+    assert localize_integral(EquivariantClass(0, (1,) * 6), ws) == 0
     u = u_tilde(o)
     for m in range(1, 5):
         assert localize_integral(u**m, ws) == 0
     assert localize_integral(u**5, ws) == 18
     q5 = ring_presentation(o).q[5]
     assert q5 * 18 == 1
-    assert localize_integral(equivariant_basis(o).classes[5], ws) == 1
+    assert localize_integral(_basis(o)[5], ws) == 1
     assert localize_integral(chern_restrictions(ws, 5), ws) == 6
 
 
@@ -350,7 +383,7 @@ def test_localization_all_fixtures(paper_fixtures):
     for c in paper_fixtures + [builtin("remark_w7")]:
         ws = derive_weight_system(c)
         u = u_tilde(c)
-        assert localize_integral(one_class(), ws) == 0
+        assert localize_integral(EquivariantClass(0, (1,) * 6), ws) == 0
         for m in range(1, 5):
             assert localize_integral(u**m, ws) == 0
         assert localize_integral(chern_restrictions(ws, 5), ws) == 6
@@ -371,10 +404,10 @@ def test_duality_product_of_basis_classes(paper_fixtures):
     # complementary basis classes multiply to the top generator:
     # the product integrates to exactly 1
     for c in paper_fixtures + [builtin("remark_w7")]:
-        basis = equivariant_basis(c)
+        basis = _basis(c)
         ws = derive_weight_system(c)
         for i in range(6):
-            prod = basis.classes[i] * basis.classes[5 - i]
+            prod = basis[i] * basis[5 - i]
             assert prod.degree == 10
             assert localize_integral(prod, ws) == 1
 

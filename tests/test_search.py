@@ -14,14 +14,18 @@ import pytest
 
 from hamfix import (
     BudgetExceeded,
+    EquivariantClass,
     SearchSpec,
     SpecError,
     builtin,
+    chern_restrictions,
     derive_weight_system,
     enumerate_configurations,
     flip,
+    localize_integral,
     search,
     theorem4_weight_system,
+    u_tilde,
     verify_theorem1,
     verify_theorem2,
     verify_theorem3,
@@ -267,6 +271,20 @@ def test_toggle_soundness_nonempty_pool():
     assert no_gamma.configurations == pinned.configurations
 
 
+def _localization_certificate(c):
+    """Localization, a check from outside the edge rules: every monomial
+    c_m u^k of degree below the manifold's (m + k <= 4, c_0 = 1) integrates
+    to exactly 0, and the symplectic volume integral of u^5 is returned."""
+    ws = c.weight_system
+    u = u_tilde(c)
+    chern = [EquivariantClass(0, (1,) * N_POINTS)]
+    chern += [chern_restrictions(ws, m) for m in range(1, DIM)]
+    monomials = [chern[m] * u**k for m in range(DIM) for k in range(DIM - m)]
+    assert len(monomials) == 15
+    assert all(localize_integral(x, ws) == 0 for x in monomials)
+    return localize_integral(u**DIM, ws)
+
+
 def test_balance_toggle_soundness_nonempty_pool():
     # the leaf screen alone against the in-DFS balance cuts, on 4 configurations
     base = enumerate_configurations(SearchSpec(5, 10), workers=1)
@@ -275,6 +293,8 @@ def test_balance_toggle_soundness_nonempty_pool():
     assert no_balance.configurations == base.configurations
     assert no_balance.stats.nodes == 464367  # the walk without in-DFS balance cuts
     assert no_balance.stats.pruned["balance"] == 0
+    # every member carries the localization certificate, with volume > 0
+    assert [_localization_certificate(c) for c in base.configurations] == [1, 2, 18, 18]
 
 
 @pytest.mark.parametrize(
@@ -362,7 +382,7 @@ def test_narrowed_targets_match_fresh_targets(spec, monkeypatch):
     assert all(kinds.values()), kinds
 
 
-def test_full_brute_force_equivalence_tiny():
+def test_full_brute_force_equivalence_tiny(closed_form_leaves):
     pruned = enumerate_configurations(SearchSpec(1, 6), workers=1)
     brute = enumerate_configurations(
         SearchSpec(
@@ -379,6 +399,8 @@ def test_full_brute_force_equivalence_tiny():
     assert brute.stats.nodes >= pruned.stats.nodes
     # the DFS without targets, with the raw leaf screen on
     assert brute.stats.to_dict() == _stats(11784, 0, 0, 412, 0, 1564)
+    # every leaf the slot cuts let through, against the closed form
+    assert brute.stats.pruned["final"] + len(brute.configurations) == closed_form_leaves(1, 6)
 
 
 def test_import_loads_no_process_pool():
