@@ -24,8 +24,8 @@ vertices, so the nested ``dfs`` closure reads everything it needs at a cell
 from one entry, keeps its slot and weight-sum state and the leaf's multiset
 per cell in local lists and its counters in local ints.  A complete leaf
 goes to ``_leaf`` with the moment values, a pure gate that returns the
-configuration or ``None``: the smallest-weight balance of the walk's own
-floor counters, then the rule walk's isotropy-component pass on the raw
+configuration or ``None``: the smallest-weight balance from the walk's own
+floor-slot count, then the rule walk's isotropy-component pass on the raw
 cells, then, for the survivors only, the objects, ``is_valid``, the filters
 and Chern integrality.  ``_search_gap`` counts the rejected leaves
 and sends every accepted one to the sink.  Four pruning rules can be
@@ -36,12 +36,12 @@ brute force:
 * ``extremal``      -- force the two extremal edges to carry the full gap;
 * ``gamma``        -- derive the first-Chern multiple from the gap vector
                       and enforce exact per-vertex weight-sum targets;
-* ``balance``      -- walk once per global smallest weight and, at every
-                      cell of row i, cut the multisets after which the
-                      smallest-weight slots leaving vertex i can no longer
-                      equal those entering vertex i + 1 (with it off, the
-                      walk runs at floor 1 and the leaf's counters screen
-                      the same balance).
+* ``balance``      -- walk once per global smallest weight, allowed only
+                      on the consecutive cells (v, v + 1) and held by at
+                      least one of them, which is exactly the global
+                      smallest-weight balance (with it off, the walk runs
+                      at floor 1 and the leaf is screened for a weight-1
+                      slot on any other cell).
 
 The reversed action gives an equivalent configuration, so one member of
 each mirror pair is kept: only mirror-canonical gap vectors are walked, and
@@ -209,6 +209,7 @@ def _gap_vectors(spec: SearchSpec) -> list[tuple[int, ...]]:
     return [g for g in gaps if g <= g[::-1]]
 
 
+@cache
 def _divisors_leq(n: int, bound: int) -> tuple[int, ...]:
     return tuple(w for w in range(1, min(n, bound) + 1) if n % w == 0)
 
@@ -263,12 +264,12 @@ def _in_reach(spec: SearchSpec, gaps: tuple[int, ...], targets: list, floor: int
 def _tables(allowed: tuple[int, ...], wm: int) -> tuple:
     """``tables[m]`` for m = 0..DIM-1: the size-m multisets of the sorted
     ``allowed`` weights sorted by sum, as ``(sums, multisets, counts)``,
-    where ``counts[k]`` is how many ``wm`` the k-th multiset holds.  Built
-    once per ``(allowed, wm)`` in the process and shared by every plan and
-    cell that allows those weights under that floor.  No cell places DIM
-    slots: a cell places at most its lower vertex i's DIM - i upward slots,
-    and cell (0, 1), vertex 1's only downward cell, takes one of vertex 0's
-    before any other cell of row 0."""
+    where ``counts[k]`` is how many ``wm`` the k-th multiset holds (none for
+    ``wm`` 0).  Built once per ``(allowed, wm)`` in the process and shared by
+    every plan and cell that allows those weights and counts that weight.
+    No cell places DIM slots: a cell places at most its lower vertex i's
+    DIM - i upward slots, and cell (0, 1), vertex 1's only downward cell,
+    takes one of vertex 0's before any other cell of row 0."""
     built = []
     for m in range(DIM):
         # stable on the lexicographic order the combinations come in
@@ -301,24 +302,35 @@ def _span(bound, ws):
     return (min(bound[0], ws[0]), max(bound[1], ws[-1]))
 
 
-def _cell_plan(table: dict, floor: int) -> tuple:
-    """One entry per cell (i, j) of ``PAIRS``, everything the DFS reads at that cell.
+def _cell_plan(table: dict, floor: int, balance: bool) -> tuple:
+    """``(plan, last_floor)``: one plan entry per cell (i, j) of ``PAIRS``,
+    everything the DFS reads at that cell, and, with ``balance`` on, the
+    index of the last consecutive cell (v, v + 1) that allows ``floor``
+    (``None`` if none does, or with it off).
 
     An entry is ``(i, j, tables, last_up, last_down, row_lo, row_hi, up_j_lo,
     up_j_hi, down_lo, down_hi)``.  ``tables`` is ``_tables`` of the cell's
-    allowed weights from ``table`` that are at least ``floor`` (a slice of
-    the sorted tuple), with ``counts`` counting ``floor``: the one tuple
-    that every plan of the process shares.  Then come whether the
-    cell is the last upward cell of i and the last downward cell of j; the
-    (min, max) allowed weight over the cells after j in row i; the least and
-    most weight sum j's DIM - j upward slots can carry, all still open at
-    (i, j); and the (min, max) allowed weight over j's downward cells from
-    rows after i.  A bound over cells with no allowed weight is (0, 0).
-    Under a floor a cell's allowed weights may be empty (a gap of 2 at floor
-    3); an empty cell that still has slots to fill yields no multiset, so no
-    leaf lies below such a bound and any window computed over it is sound.
+    allowed weights from ``table`` (a slice of the sorted tuple, shared by
+    every plan of the process) that are at least ``floor``, or, with
+    ``balance`` on and j > i + 1, above it: a leaf balances its smallest
+    weight exactly when that weight lies on consecutive cells only.
+    ``counts`` counts ``floor`` there, and with ``balance`` off (floor 1) on
+    the cells with j > i + 1 only, whose weight-1 slots break the rule.  Then
+    come whether the cell is the last upward cell of i and the last downward
+    cell of j; the (min, max) allowed weight over the cells after j in row i;
+    the least and most weight sum j's DIM - j upward slots can carry, all
+    still open at (i, j); and the (min, max) allowed weight over j's downward
+    cells from rows after i.  A bound over cells with no allowed weight is
+    (0, 0).  Under a floor a cell's allowed weights may be empty (a gap of 2
+    at floor 3); an empty cell that still has slots to fill yields no
+    multiset, so no leaf lies below such a bound and any window computed
+    over it is sound.
     """
-    allowed = {cell: ws[bisect_left(ws, floor) :] for cell, ws in table.items()}
+    allowed = {
+        (i, j): ws[(bisect_right if balance and j > i + 1 else bisect_left)(ws, floor) :]
+        for (i, j), ws in table.items()
+    }
+    capable = [ci for ci, (i, j) in enumerate(PAIRS) if j == i + 1 and floor in allowed[(i, j)]]
     # after[(i, j)] spans the cells (i, l) with l > j, below[(i, j)] the cells
     # (l, j) with i < l < j; each extends the one a cell later in its line
     after, below = {}, {}
@@ -336,7 +348,7 @@ def _cell_plan(table: dict, floor: int) -> tuple:
             (
                 i,
                 j,
-                _tables(allowed[(i, j)], floor),
+                _tables(allowed[(i, j)], floor if balance or j > i + 1 else 0),
                 j == N_POINTS - 1,
                 i == j - 1,
                 row_lo,
@@ -347,7 +359,7 @@ def _cell_plan(table: dict, floor: int) -> tuple:
                 down_hi,
             )
         )
-    return tuple(plan)
+    return tuple(plan), (capable[-1] if balance and capable else None)
 
 
 def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sink) -> None:
@@ -359,24 +371,25 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
     walk runs once per floor ``wm``, the leaf's global smallest weight: each
     floor keeps the weight-sum targets of the floor below that stay feasible
     with every weight >= ``wm``, and the floors from the first that keeps
-    none are skipped; cells allow only weights >= ``wm``,
-    and ``plus[v]``/``minus[v]`` count the ``wm`` slots leaving and entering
-    v.  Row i's first cell (i, i + 1) places the last of i + 1's downward
-    cells, so from there on ``minus[i + 1]`` is final and, at every cell of
-    row i, the walk cuts a multiset that leaves ``plus[i]`` above it, or below
-    it by more ``wm`` slots than i's later cells can still take (none if no
-    later cell of row i allows ``wm``).  At row i's last cell (i, 5) this is
-    ``plus[i] == minus[i + 1]``; at (4, 5) the leaf must also hold a ``wm``
-    slot (a leaf without one is walked under its own floor).  ``dfs(ci)``
-    works from ``plan[ci]`` alone; with targets active, each cell keeps only
-    the multisets whose sum leaves both endpoint vertices able to reach their
-    targets with the slots they have left.
+    none are skipped.  The global balance (the ``wm`` slots leaving level v
+    equal those entering level v + 1) holds exactly when every ``wm`` slot
+    joins v and v + 1: the ``wm`` slots entering level 1 come only from cell
+    (0, 1), so all of vertex 0's lie there, and so on up the levels.  So the
+    floor's plan allows ``wm`` on the consecutive cells only and weights
+    above it elsewhere, a floor no consecutive cell allows is skipped, and
+    ``dfs`` counts the ``wm`` slots placed so far: at the last consecutive
+    cell that allows ``wm``, a walk holding none yet keeps only the
+    multisets that hold one.  ``dfs(ci, seen)`` works from ``plan[ci]``
+    alone; with targets active, each cell keeps only the multisets whose sum
+    leaves both endpoint vertices able to reach their targets with the slots
+    they have left.
 
     ``dfs`` counts in local ints: ``nodes`` starts from ``stats.nodes``, so
     the node limit is tested against the running total, and the
-    ``gamma``/``slot``/``balance``/``final`` counts start from 0.  They are
-    written back to ``stats`` once, when the gap vector's walks end or a
-    ``BudgetExceeded`` leaves them.
+    ``gamma``/``slot``/``balance``/``final`` counts start from 0.  ``balance``
+    counts the multisets the last floor cell cuts, and one per skipped
+    floor.  They are written back to ``stats`` once, when the gap vector's
+    walks end or a ``BudgetExceeded`` leaves them.
     """
     pruned = stats.pruned
     maxw = spec.max_weight
@@ -401,16 +414,14 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
     up = [DIM - v for v in range(N_POINTS)]
     down = list(range(N_POINTS))
     psum = [0] * N_POINTS
-    plus = [0] * N_POINTS
-    minus = [0] * N_POINTS
     acc: list = [None] * n_cells
     nodes = stats.nodes
     n_gamma = n_slot = n_balance = n_final = 0
 
-    def dfs(ci: int) -> None:
+    def dfs(ci: int, seen: int) -> None:
         nonlocal nodes, n_gamma, n_slot, n_balance, n_final
         if ci == n_cells:
-            config = _leaf(spec, phi, acc, plus, minus)
+            config = _leaf(spec, phi, acc, seen)
             if config is None:
                 n_final += 1
             else:
@@ -434,8 +445,9 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
             else:
                 m_lo, m_hi = 0, (ui if ui < dj else dj)
             # an m below short leaves i more upward slots than the vertices
-            # after j have downward slots left
-            short = ui - sum(down[j + 1 :])
+            # after j can take: their downward slots left, less the one
+            # upward slot of vertex 4 (i < 4 here), which only (4, 5) places
+            short = ui - sum(down[j + 1 :]) + 1
             if short > m_lo:
                 cut = (short if short <= m_hi else m_hi + 1) - m_lo
                 n_slot += cut
@@ -447,9 +459,8 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
             need_j = psum[j] - targets[j]
             j_lo, j_hi = need_j + up_j_lo, need_j + up_j_hi
         pi, pj = psum[i], psum[j]
-        plus_i, minus_j = plus[i], minus[j]
-        # the wm slots i + 1 receives beyond those i has sent so far
-        owed = minus[i + 1] - plus_i
+        # the leaf's last chance of a floor slot
+        need = ci == last_floor and not seen
         nxt = ci + 1
         for m in range(m_lo, m_hi + 1):
             rest_i = ui - m
@@ -471,24 +482,11 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
                 n_gamma += n_sets - (b - a if b > a else 0)  # multisets cut
                 if a >= b:
                     continue
-            # the cell's wm count c must leave owed - c (owed itself at
-            # (i, i + 1), where c also enters i + 1) between 0 and the wm
-            # slots row i's later cells can still take
-            c_lo, c_hi = 0, m
-            if balance:
-                room = rest_i if row_lo == wm else 0
-                if not last_down:
-                    c_lo, c_hi = owed - room, owed
-                elif not 0 <= owed <= room:
-                    n_balance += b - a
-                    continue
-                elif last_up and not any(plus):
-                    c_lo = 1  # the leaf's only chance of a wm slot
             up[i] = rest_i
             down[j] = dj - m
             for k in range(a, b):
                 c = counts[k]
-                if c < c_lo or c > c_hi:
+                if need and not c:
                     n_balance += 1
                     continue
                 nodes += 1
@@ -497,13 +495,10 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
                 s = sums[k]
                 psum[i] = pi + s
                 psum[j] = pj - s
-                plus[i] = plus_i + c
-                minus[j] = minus_j + c
                 acc[ci] = msets[k]
-                dfs(nxt)
+                dfs(nxt, seen + c)
             up[i], down[j] = ui, dj
             psum[i], psum[j] = pi, pj
-            plus[i], minus[j] = plus_i, minus_j
 
     try:
         for n, wm in enumerate(floors):
@@ -512,9 +507,12 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
                 if not candidates:
                     pruned["gamma"] += len(floors) - n  # every floor from wm up
                     break
-            plan = _cell_plan(table, wm)
+            plan, last_floor = _cell_plan(table, wm, balance)
+            if balance and last_floor is None:
+                n_balance += 1
+                continue
             for targets in candidates:
-                dfs(0)
+                dfs(0, 0)
     finally:
         stats.nodes = nodes
         pruned["gamma"] += n_gamma
@@ -523,23 +521,23 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
         pruned["final"] += n_final
 
 
-def _leaf(spec: SearchSpec, phi: tuple[int, ...], acc, plus, minus) -> Configuration | None:
+def _leaf(spec: SearchSpec, phi: tuple[int, ...], acc, seen: int) -> Configuration | None:
     """The configuration that the moment values ``phi`` and a complete leaf's
     cells spell, or ``None`` if a gate rejects it; ``acc[ci]`` holds the
     weights of cell ``PAIRS[ci]``.
 
-    The gates run in this order: the walk's floor counters, the rule walk's
-    isotropy-component pass on the raw cells, then, for the few leaves that
-    pass both, the objects (the moment profile first), ``is_valid``, the
-    filters and Chern integrality.
-    ``plus[v]``/``minus[v]`` count the floor-weight slots leaving and entering
-    v.  With ``balance`` on, the row cuts already balance them.  With it off,
-    the floor is 1, so on a leaf holding a weight-1 slot the test is exactly
-    the global smallest-weight rule; a leaf without one has zero counters and
-    is left to ``is_valid``.  Both screens are rules ``is_valid`` also
-    checks, so they only reject earlier.
+    The gates run in this order: the global smallest-weight balance, the rule
+    walk's isotropy-component pass on the raw cells, then, for the few leaves
+    that pass both, the objects (the moment profile first), ``is_valid``, the
+    filters and Chern integrality.  ``seen`` is the walk's count of floor
+    slots (``_cell_plan``).  With ``balance`` on, the plan already balances
+    every leaf.  With it off, ``seen`` counts the weight-1 slots on cells
+    (i, j) with j > i + 1, and the leaf is rejected if it holds one: on a
+    leaf holding a weight-1 slot that is exactly the global rule, and a leaf
+    without one is left to ``is_valid``.  Both screens are rules
+    ``is_valid`` also checks, so they only reject earlier.
     """
-    if plus[:DIM] != minus[1:]:
+    if seen and not spec.prune_balance:
         return None
     edges, weights = _leaf_plain(acc)
     if next(_iter_components(edges, weights), None) is not None:

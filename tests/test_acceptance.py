@@ -58,9 +58,9 @@ THM3_WS = (
 #: the thm4 searches' statistics, nodes and then the counts pruned per rule:
 #: the only tier-1 searches through the largest-weight and effectiveness filters
 THM4_STATS = {
-    (1, 3): (1184, 0, 3759, 4, 422, 34),
-    (2, 3): (2357, 0, 10878, 8, 464, 9),
-    (1, 6): (3094, 0, 13925, 56, 525, 66),
+    (1, 3): (883, 0, 1393, 74, 0, 34),
+    (2, 3): (1764, 0, 5765, 67, 6, 9),
+    (1, 6): (2519, 0, 7760, 322, 0, 66),
 }
 
 
@@ -139,7 +139,7 @@ def test_criterion_05_theorem1_desk_scale():
     assert report.passed
     assert report.data["configurations"] == 0
     assert elapsed < 300
-    assert report.stats.to_dict() == _stats(303605, 276864, 1221912, 6726, 73280, 2805)
+    assert report.stats.to_dict() == _stats(200783, 276864, 538044, 14107, 15015, 2805)
     sharp = verify_theorem1(max_weight=5)
     assert sharp.passed
     systems = {tuple(tuple(row) for row in w) for w in sharp.data["weight_systems"]}

@@ -94,8 +94,8 @@ def test_pinned_gaps_match_open_search():
         expected = tuple(c for c in open_res.configurations if c.profile.gaps == gaps)
         assert pinned.configurations == expected
         assert bool(expected) == (gaps != (1, 1, 1, 1, 2))
-    # moved with the balance cut at every cell of a row (final unchanged)
-    assert open_res.stats.to_dict() == _stats(25460, 1, 85782, 427, 9377, 431)
+    # moved with the floor on consecutive cells only (final unchanged)
+    assert open_res.stats.to_dict() == _stats(17994, 1, 30746, 1192, 462, 431)
 
 
 def test_gap_vectors_match_brute_force():
@@ -155,14 +155,14 @@ def test_enumerate_largest_from_c1_filter():
 
 # (nodes, extremal, gamma, slot, balance, final) at (2,6): a pruning change
 # that moves these must update the pin and say why.  The balance-on rows
-# moved when the balance cut ran at every cell of a row instead of only its
-# last, and floors with infeasible weight-sum targets were skipped
+# moved when the floor weight was allowed on consecutive cells only, and all
+# rows when the short slot cut kept room for vertex 4's upward slot
 _STATS_2_6 = {
-    None: (95, 0, 196, 1, 44, 4),
-    "divisibility": (1516, 0, 1798, 15, 62, 184),
-    "extremal": (95, 0, 199, 1, 44, 4),
-    "gamma": (743, 0, 0, 20, 741, 50),
-    "balance": (6669, 0, 3776, 151, 0, 857),
+    None: (67, 0, 24, 3, 0, 4),
+    "divisibility": (1422, 0, 531, 66, 0, 184),
+    "extremal": (67, 0, 27, 3, 1, 4),
+    "gamma": (711, 0, 0, 43, 0, 50),
+    "balance": (6375, 0, 3580, 180, 0, 857),
 }
 
 
@@ -192,41 +192,81 @@ _COMPONENT_RULES = ("ComponentRegularity", "IndexBound", "SmallestWeightBalance"
 _SAMPLED_RULES = ("ComponentRegularity", "SmallestWeightBalance", "ModK")
 
 
-@pytest.mark.parametrize("balance", [True, False])
-def test_leaf_component_screen_matches_check_all(balance, monkeypatch):
-    # every leaf the DFS reaches: the floor counters _leaf screens first
-    # balance exactly when the global smallest-weight rule holds or (with
-    # balance off, at floor 1) the leaf holds no weight-1 slot; the component
-    # pass on its raw cells rejects exactly the leaves whose configuration has
-    # a component violation in check_all, and names one of them.  check_all
-    # runs on every leaf the pass accepts or rejects as IndexBound, and on a
-    # seeded sample of the far more numerous rejections by each other rule
+def _walk_leaves(spec):
+    """Every leaf the DFS reaches for ``spec``, as ``(phi, acc, seen)`` in the
+    order ``_leaf`` receives them, and the search result."""
     leaves = []
     real_leaf = search._leaf
 
-    def recording_leaf(spec, phi, acc, plus, minus):
-        leaves.append((phi, tuple(acc), plus[:], minus[:]))
-        return real_leaf(spec, phi, acc, plus, minus)
+    def recording_leaf(spec, phi, acc, seen):
+        leaves.append((phi, tuple(acc), seen))
+        return real_leaf(spec, phi, acc, seen)
 
-    monkeypatch.setattr(search, "_leaf", recording_leaf)
-    res = enumerate_configurations(SearchSpec(5, 10, prune_balance=balance), workers=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_leaf", recording_leaf)
+        res = enumerate_configurations(spec, workers=1)
+    return leaves, res
+
+
+def _globally_balanced(edges):
+    return not any(_iter_balance(edges, range(N_POINTS), DIM, None, range(N_POINTS)))
+
+
+def test_balance_holds_iff_smallest_weight_on_consecutive_vertices(mutant_corpus):
+    # the lemma the balance cut rests on: with vertex v at level v, the
+    # smallest weight's slots leaving level m equal those entering level m + 1
+    # for every m exactly when every smallest-weight edge joins v and v + 1
+    pool = enumerate_configurations(SearchSpec(5, 10), workers=1).configurations
+    sides = collections.Counter()
+    for c in [*mutant_corpus, *pool]:
+        edges = [(e.lo, e.hi, e.w, e.mult) for e in c.edges]
+        wm = min(w for _, _, w, _ in edges)
+        consecutive = all(hi == lo + 1 for lo, hi, w, _ in edges if w == wm)
+        assert _globally_balanced(edges) == consecutive, c.label
+        sides[consecutive] += 1
+    assert sides[True] > 0 and sides[False] > 0, sides
+
+
+@pytest.mark.parametrize("balance", [True, False])
+def test_leaf_component_screen_matches_check_all(balance):
+    # every leaf the DFS reaches: with balance on, the plan has put the
+    # leaf's smallest weight on consecutive cells only and at least once, so
+    # the global smallest-weight rule holds and the floor-slot count the walk
+    # hands _leaf counts those slots; with it off (floor 1), that count is the
+    # leaf's weight-1 slots on cells (i, j) with j > i + 1, and _leaf rejects
+    # exactly the leaves whose weight-1 slots break the global rule.  The
+    # balance-on walk reaches exactly the balance-off leaves that pass it.
+    # The component pass on the raw cells rejects exactly the leaves whose
+    # configuration has a component violation in check_all, and names one of
+    # them.  check_all runs on every leaf the pass accepts or rejects as
+    # IndexBound, and on a seeded sample of the far more numerous rejections
+    # by each other rule
+    leaves, res = _walk_leaves(SearchSpec(5, 10, prune_balance=balance))
     assert len(leaves) > res.stats.pruned["final"] > 0
-    # (counters balance, leaf holds a weight-1 slot) -> leaves
+    # (leaf passes the floor-slot screen, leaf holds a weight-1 slot) -> leaves
     kinds = collections.Counter()
     # the rule of the pass's first violation (None: accepted) -> leaves
     by_rule = collections.defaultdict(list)
-    for phi, acc, plus, minus in leaves:
+    balanced = []
+    for phi, acc, seen in leaves:
         edges, weights = search._leaf_plain(acc)
-        counted = plus[:DIM] == minus[1:]
-        globally = not any(_iter_balance(edges, range(N_POINTS), DIM, None, range(N_POINTS)))
-        has_one = any(1 in ws for ws in acc)
+        globally = _globally_balanced(edges)
+        wm = min(w for _, _, w, _ in edges)
+        has_one = wm == 1
         if balance:
-            assert counted and globally, acc
+            floor_slots = [hi == lo + 1 for lo, hi, w, _ in edges if w == wm]
+            assert globally and all(floor_slots) and seen == len(floor_slots), acc
         else:
-            assert any(plus) == has_one and counted == (not has_one or globally), acc
-        kinds[counted, has_one] += 1
+            stray = sum(w == 1 and hi > lo + 1 for lo, hi, w, _ in edges)
+            assert seen == stray and (not seen) == (not has_one or globally), acc
+            if globally:
+                balanced.append((phi, acc))
+        kinds[not seen, has_one] += 1
         first = next(_iter_components(edges, weights), None)
         by_rule[None if first is None else first.rule].append((phi, edges, weights, first))
+    if not balance:
+        on, _ = _walk_leaves(SearchSpec(5, 10))
+        assert on and sorted((phi, acc) for phi, acc, _ in on) == sorted(balanced)
     assert None in by_rule and len(by_rule) > 1
     rng = random.Random(20261019)
     for rule, group in by_rule.items():
@@ -244,7 +284,7 @@ def test_leaf_component_screen_matches_check_all(balance, monkeypatch):
             assert (first is None) == (not expected), edges
             assert first is None or first in expected, edges
     if not balance:
-        # rejected by the counters, balanced with a weight-1 slot, no weight-1 slot
+        # rejected by the screen, passed with a weight-1 slot, no weight-1 slot
         assert kinds == {(False, True): 32968, (True, True): 433, (True, False): 410}
         assert res.stats.pruned["final"] >= kinds[False, True]
         assert {rule: len(group) for rule, group in by_rule.items()} == {
@@ -291,7 +331,7 @@ def test_balance_toggle_soundness_nonempty_pool():
     no_balance = enumerate_configurations(SearchSpec(5, 10, prune_balance=False), workers=1)
     assert len(base.configurations) == 4
     assert no_balance.configurations == base.configurations
-    assert no_balance.stats.nodes == 464367  # the walk without in-DFS balance cuts
+    assert no_balance.stats.nodes == 450169  # the walk without in-DFS balance cuts
     assert no_balance.stats.pruned["balance"] == 0
     # every member carries the localization certificate, with volume > 0
     assert [_localization_certificate(c) for c in base.configurations] == [1, 2, 18, 18]
@@ -398,7 +438,7 @@ def test_full_brute_force_equivalence_tiny(closed_form_leaves):
     assert pruned.configurations == brute.configurations
     assert brute.stats.nodes >= pruned.stats.nodes
     # the DFS without targets, with the raw leaf screen on
-    assert brute.stats.to_dict() == _stats(11784, 0, 0, 412, 0, 1564)
+    assert brute.stats.to_dict() == _stats(11040, 0, 0, 388, 0, 1564)
     # every leaf the slot cuts let through, against the closed form
     assert brute.stats.pruned["final"] + len(brute.configurations) == closed_form_leaves(1, 6)
 
@@ -418,10 +458,10 @@ def test_import_loads_no_process_pool():
 
 def test_determinism_across_workers():
     # two filtered searches that emit configurations through the leaf gate;
-    # the stats moved with the balance cut at every cell of a row (final unchanged)
+    # the stats moved with the floor on consecutive cells only (final unchanged)
     for spec, stats in (
-        (SearchSpec(5, 8, require_effective=True), (4263, 0, 16500, 44, 2115, 67)),
-        (SearchSpec(5, 10, largest_from=((0, 5),), c1=3), (14463, 1, 50566, 182, 4390, 256)),
+        (SearchSpec(5, 8, require_effective=True), (2798, 0, 5231, 161, 1, 67)),
+        (SearchSpec(5, 10, largest_from=((0, 5),), c1=3), (11308, 1, 19721, 739, 65, 256)),
     ):
         docs = []
         for workers in (1, 2, 4):
@@ -536,8 +576,8 @@ def test_verifiers_share_one_search(cold_pool, monkeypatch):
     reports.append(verify_theorem3(workers=1))
     assert all(r.passed for r in reports)
     assert calls == [SearchSpec(5, 10)]
-    # moved with the balance cut at every cell of a row (final unchanged)
-    assert reports[2].stats.to_dict() == _stats(25460, 1, 85782, 427, 9377, 431)
+    # moved with the floor on consecutive cells only (final unchanged)
+    assert reports[2].stats.to_dict() == _stats(17994, 1, 30746, 1192, 462, 431)
 
 
 def _doubled_05(o):
