@@ -16,13 +16,15 @@ where the weight-sum (first-Chern) targets are enforced.  The engine is
 plain functions: ``_search_gap`` searches one gap vector.  Its weight-sum
 target vectors are computed once, and each floor re-tests only those the
 floor below kept.  A gap vector that survives the extremal and weight-sum
-tests gets a cell plan per floor: one tuple per cell holding its multiset
-tables by slot count (one tuple per allowed weights and floor, built once
-per process and shared by every plan), whether it closes a vertex's upward or
-downward slots, and the weight bounds of the cells still open at its two
-vertices, so the nested ``dfs`` closure reads everything it needs at a cell
-from one entry, keeps its slot and weight-sum state and the leaf's multiset
-per cell in local lists and its counters in local ints.  A complete leaf
+tests gets a cell plan per live floor, built in one backward pass over the
+cells straight from the gap vector (a dead floor is skipped before anything
+is built): one tuple per cell holding its multiset tables by slot count (one
+tuple per allowed weights and floor, built once per process and shared by
+every plan), whether it closes a vertex's upward or downward slots, and the
+weight bounds of the cells still open at its two vertices, so the nested
+``dfs`` closure reads everything it needs at a cell from one entry, keeps
+its slot and weight-sum state and the leaf's multiset per cell in local
+lists and its counters in local ints.  A complete leaf
 goes to ``_leaf`` with the moment values, a pure gate that returns the
 configuration or ``None``: the smallest-weight balance from the walk's own
 floor-slot count, then the rule walk's isotropy-component pass on the raw
@@ -38,10 +40,10 @@ brute force:
                       and enforce exact per-vertex weight-sum targets;
 * ``balance``      -- walk once per global smallest weight, allowed only
                       on the consecutive cells (v, v + 1) and held by at
-                      least one of them, which is exactly the global
-                      smallest-weight balance (with it off, the walk runs
-                      at floor 1 and the leaf is screened for a weight-1
-                      slot on any other cell).
+                      least one of them (why that is the global balance:
+                      ``_search_gap``; with it off, the walk runs at floor
+                      1 and the leaf is screened for a weight-1 slot on
+                      any other cell).
 
 The reversed action gives an equivalent configuration, so one member of
 each mirror pair is kept: only mirror-canonical gap vectors are walked, and
@@ -278,105 +280,95 @@ def _tables(allowed: tuple[int, ...], wm: int) -> tuple:
     return tuple(built)
 
 
-def _allowed_table(spec: SearchSpec, gaps: tuple[int, ...], phi: tuple[int, ...]) -> dict:
-    """Each cell's allowed weights before any floor, keyed by ``(i, j)``."""
-    maxw = spec.max_weight
-    allowed = {}
-    for i, j in PAIRS:
-        if spec.prune_divisibility:
-            allowed[(i, j)] = _divisors_leq(phi[j] - phi[i], maxw)
-        else:
-            allowed[(i, j)] = tuple(range(1, maxw + 1))
-    if spec.prune_extremal:
-        allowed[(0, 1)] = (gaps[0],)
-        allowed[(4, 5)] = (gaps[4],)
-    return allowed
+def _cell_plan(spec: SearchSpec, gaps: tuple[int, ...], phi: tuple[int, ...], floor: int) -> tuple:
+    """``(plan, last_floor)`` for one floor: one plan entry per cell (i, j) of
+    ``PAIRS``, everything the DFS reads at that cell, and, with ``balance``
+    on, the index of the last consecutive cell (v, v + 1) that allows
+    ``floor`` (``None`` with it off).  With ``balance`` on and no consecutive
+    cell allowing ``floor``, the floor is dead (``_search_gap``) and the
+    result is ``(None, None)``, before any table or bound is built.
 
-
-def _span(bound, ws):
-    """The (min, max) ``bound`` widened by the sorted weights ``ws``; ``None`` is empty."""
-    if not ws:
-        return bound
-    if bound is None:
-        return (ws[0], ws[-1])
-    return (min(bound[0], ws[0]), max(bound[1], ws[-1]))
-
-
-def _cell_plan(table: dict, floor: int, balance: bool) -> tuple:
-    """``(plan, last_floor)``: one plan entry per cell (i, j) of ``PAIRS``,
-    everything the DFS reads at that cell, and, with ``balance`` on, the
-    index of the last consecutive cell (v, v + 1) that allows ``floor``
-    (``None`` if none does, or with it off).
-
-    An entry is ``(i, j, tables, last_up, last_down, row_lo, row_hi, up_j_lo,
-    up_j_hi, down_lo, down_hi)``.  ``tables`` is ``_tables`` of the cell's
-    allowed weights from ``table`` (a slice of the sorted tuple, shared by
-    every plan of the process) that are at least ``floor``, or, with
-    ``balance`` on and j > i + 1, above it: a leaf balances its smallest
-    weight exactly when that weight lies on consecutive cells only.
+    A cell allows the divisors of its gap, every weight with
+    ``divisibility`` off, or its gap alone on the two extremal cells with
+    ``extremal`` on; of these, those at least ``floor``, or, with
+    ``balance`` on and j > i + 1, above it.  An entry is ``(i, j, tables,
+    last_up, last_down, row_lo, row_hi, up_j_lo, up_j_hi, down_lo,
+    down_hi)``.  ``tables`` is ``_tables`` of the allowed weights;
     ``counts`` counts ``floor`` there, and with ``balance`` off (floor 1) on
-    the cells with j > i + 1 only, whose weight-1 slots break the rule.  Then
-    come whether the cell is the last upward cell of i and the last downward
-    cell of j; the (min, max) allowed weight over the cells after j in row i;
-    the least and most weight sum j's DIM - j upward slots can carry, all
-    still open at (i, j); and the (min, max) allowed weight over j's downward
-    cells from rows after i.  A bound over cells with no allowed weight is
-    (0, 0).  Under a floor a cell's allowed weights may be empty (a gap of 2
-    at floor 3); an empty cell that still has slots to fill yields no
-    multiset, so no leaf lies below such a bound and any window computed
-    over it is sound.
+    the cells with j > i + 1 only, whose weight-1 slots break the balance.
+    Then come whether the cell is the last upward cell of i and the last
+    downward cell of j; the (min, max) allowed weight over the cells after j
+    in row i; the least and most weight sum j's DIM - j upward slots can
+    carry, all still open at (i, j); and the (min, max) allowed weight over
+    j's downward cells from rows after i.  One backward pass fills them:
+    ``rows[v]`` and ``cols[v]`` span the cells already passed in row and
+    column v, (0, 0) while none of them allows a weight.  Under a floor a
+    cell's allowed weights may be empty (a gap of 2 at floor 3); an empty
+    cell that still has slots to fill yields no multiset, so no leaf lies
+    below such a bound and any window computed over it is sound.
     """
-    allowed = {
-        (i, j): ws[(bisect_right if balance and j > i + 1 else bisect_left)(ws, floor) :]
-        for (i, j), ws in table.items()
-    }
-    capable = [ci for ci, (i, j) in enumerate(PAIRS) if j == i + 1 and floor in allowed[(i, j)]]
-    # after[(i, j)] spans the cells (i, l) with l > j, below[(i, j)] the cells
-    # (l, j) with i < l < j; each extends the one a cell later in its line
-    after, below = {}, {}
-    for i, j in reversed(PAIRS):
-        after[(i, j)] = _span(after.get((i, j + 1)), allowed.get((i, j + 1)))
-        below[(i, j)] = _span(below.get((i + 1, j)), allowed.get((i + 1, j)))
-    row = [_span(after.get((v, v + 1)), allowed.get((v, v + 1))) for v in range(N_POINTS)]
-    none = (0, 0)
-    plan = []
+    balance = spec.prune_balance
+    every = tuple(range(1, spec.max_weight + 1))
+    allowed = []
     for i, j in PAIRS:
-        row_lo, row_hi = after[(i, j)] or none
-        j_lo, j_hi = row[j] or none
-        down_lo, down_hi = below[(i, j)] or none
-        plan.append(
-            (
-                i,
-                j,
-                _tables(allowed[(i, j)], floor if balance or j > i + 1 else 0),
-                j == N_POINTS - 1,
-                i == j - 1,
-                row_lo,
-                row_hi,
-                (DIM - j) * j_lo,
-                (DIM - j) * j_hi,
-                down_lo,
-                down_hi,
-            )
+        if spec.prune_extremal and j == i + 1 and i in (0, DIM - 1):
+            ws = (gaps[i],)
+        elif spec.prune_divisibility:
+            ws = _divisors_leq(phi[j] - phi[i], spec.max_weight)
+        else:
+            ws = every
+        allowed.append(ws[(bisect_right if balance and j > i + 1 else bisect_left)(ws, floor) :])
+    last_floor = None
+    if balance:
+        consecutive = [ci for ci, (i, j) in enumerate(PAIRS) if j == i + 1 and floor in allowed[ci]]
+        if not consecutive:
+            return None, None
+        last_floor = consecutive[-1]
+    rows = [(0, 0)] * N_POINTS
+    cols = [(0, 0)] * N_POINTS
+    plan: list = [None] * len(PAIRS)
+    for ci in reversed(range(len(PAIRS))):
+        i, j = PAIRS[ci]
+        ws = allowed[ci]
+        row_lo, row_hi = rows[i]
+        j_lo, j_hi = rows[j]
+        down_lo, down_hi = cols[j]
+        plan[ci] = (
+            i,
+            j,
+            _tables(ws, floor if balance or j > i + 1 else 0),
+            j == N_POINTS - 1,
+            i == j - 1,
+            row_lo,
+            row_hi,
+            (DIM - j) * j_lo,
+            (DIM - j) * j_hi,
+            down_lo,
+            down_hi,
         )
-    return tuple(plan), (capable[-1] if balance and capable else None)
+        if ws:
+            lo, hi = ws[0], ws[-1]
+            rows[i] = (min(row_lo, lo) if row_hi else lo, max(row_hi, hi))
+            cols[j] = (min(down_lo, lo) if down_hi else lo, max(down_hi, hi))
+    return tuple(plan), last_floor
 
 
 def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sink) -> None:
     """DFS over the edge cells of one gap vector, once per floor and weight-sum
     target vector.
 
-    The gap vector is first rejected on the extremal and weight-sum tests, and
-    only a survivor builds its allowed-weight table.  With ``balance`` on, the
-    walk runs once per floor ``wm``, the leaf's global smallest weight: each
-    floor keeps the weight-sum targets of the floor below that stay feasible
-    with every weight >= ``wm``, and the floors from the first that keeps
-    none are skipped.  The global balance (the ``wm`` slots leaving level v
-    equal those entering level v + 1) holds exactly when every ``wm`` slot
-    joins v and v + 1: the ``wm`` slots entering level 1 come only from cell
-    (0, 1), so all of vertex 0's lie there, and so on up the levels.  So the
-    floor's plan allows ``wm`` on the consecutive cells only and weights
-    above it elsewhere, a floor no consecutive cell allows is skipped, and
+    The gap vector is first rejected on the extremal and weight-sum tests,
+    and a survivor gets one ``_cell_plan`` per floor it walks.  With
+    ``balance`` on, the walk runs once per floor ``wm``, the leaf's global
+    smallest weight: each floor keeps the weight-sum targets of the floor
+    below that stay feasible with every weight >= ``wm``, and the floors
+    from the first that keeps none are skipped.  The global balance (the
+    ``wm`` slots leaving level v equal those entering level v + 1) holds
+    exactly when every ``wm`` slot joins v and v + 1: the ``wm`` slots
+    entering level 1 come only from cell (0, 1), so all of vertex 0's lie
+    there, and so on up the levels.  So the floor's plan allows ``wm`` on
+    the consecutive cells only and weights above it elsewhere, a floor no
+    consecutive cell allows is dead and gets no plan, and
     ``dfs`` counts the ``wm`` slots placed so far: at the last consecutive
     cell that allows ``wm``, a walk holding none yet keeps only the
     multisets that hold one.  ``dfs(ci, seen)`` works from ``plan[ci]``
@@ -401,9 +393,7 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
     if not candidates:
         pruned["gamma"] += 1
         return
-    table = _allowed_table(spec, gaps, phi)
-    balance = spec.prune_balance
-    if not balance:
+    if not spec.prune_balance:
         floors = (1,)
     elif spec.prune_extremal:
         floors = range(1, min(gaps[0], gaps[4]) + 1)
@@ -507,8 +497,8 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
                 if not candidates:
                     pruned["gamma"] += len(floors) - n  # every floor from wm up
                     break
-            plan, last_floor = _cell_plan(table, wm, balance)
-            if balance and last_floor is None:
+            plan, last_floor = _cell_plan(spec, gaps, phi, wm)
+            if plan is None:
                 n_balance += 1
                 continue
             for targets in candidates:
@@ -533,8 +523,9 @@ def _leaf(spec: SearchSpec, phi: tuple[int, ...], acc, seen: int) -> Configurati
     slots (``_cell_plan``).  With ``balance`` on, the plan already balances
     every leaf.  With it off, ``seen`` counts the weight-1 slots on cells
     (i, j) with j > i + 1, and the leaf is rejected if it holds one: on a
-    leaf holding a weight-1 slot that is exactly the global rule, and a leaf
-    without one is left to ``is_valid``.  Both screens are rules
+    leaf holding a weight-1 slot that is exactly the global rule
+    (``_search_gap``), and a leaf without one is left to ``is_valid``.  Both
+    screens are rules
     ``is_valid`` also checks, so they only reject earlier.
     """
     if seen and not spec.prune_balance:

@@ -35,6 +35,7 @@ from hamfix.constraints import C1_MAX, C1_MIN, _iter_balance, _iter_components, 
 from hamfix.model import (
     DIM,
     N_POINTS,
+    PAIRS,
     Configuration,
     MomentProfile,
     WeightEdge,
@@ -420,6 +421,74 @@ def test_narrowed_targets_match_fresh_targets(spec, monkeypatch):
         kinds["narrowed"] += sum(0 < b < a for a, b in zip(sizes, sizes[1:]))
         kinds["emptied"] += len(walked) > 1 and not sizes[-1]
     assert all(kinds.values()), kinds
+
+
+@pytest.mark.parametrize(
+    "spec, sample",
+    [
+        (SearchSpec(5, 16), None),
+        (SearchSpec(6, 24), 300),
+        (SearchSpec(5, 12, prune_extremal=False), None),
+        (SearchSpec(5, 8, prune_divisibility=False), None),
+        (SearchSpec(5, 12, prune_balance=False), None),
+    ],
+    ids=["5-16", "6-24-sample", "5-12-no-extremal", "5-8-no-divisibility", "5-12-no-balance"],
+)
+def test_cell_plan_matches_its_definition(spec, sample):
+    # every plan entry against a reference that takes each allowed set from
+    # the divisibility/extremal/floor rule and each bound from its definition,
+    # a (min, max) over explicitly listed cells, (0, 0) when none allows a weight
+    maxw, balance = spec.max_weight, spec.prune_balance
+    kinds = collections.Counter()
+    # the gap vectors _search_gap plans, each at every floor
+    planned = [g for g in _gap_vectors(spec) if not spec.prune_extremal or max(g[0], g[4]) <= maxw]
+    if sample is not None:
+        planned = random.Random(0).sample(planned, sample)
+    for gaps, floor in itertools.product(planned, range(1, maxw + 1)):
+        phi = (0, *itertools.accumulate(gaps))
+        allowed = {}
+        for i, j in PAIRS:
+            if spec.prune_extremal and (i, j) in ((0, 1), (DIM - 1, DIM)):
+                ws = {phi[j] - phi[i]}
+            elif spec.prune_divisibility:
+                ws = {w for w in range(1, maxw + 1) if (phi[j] - phi[i]) % w == 0}
+            else:
+                ws = set(range(1, maxw + 1))
+            above = balance and j > i + 1
+            allowed[i, j] = sorted(w for w in ws if w > floor or (w == floor and not above))
+        floor_cells = [
+            ci for ci, (i, j) in enumerate(PAIRS) if j == i + 1 and floor in allowed[i, j]
+        ]
+        plan, last_floor = search._cell_plan(spec, gaps, phi, floor)
+        if balance and not floor_cells:
+            assert (plan, last_floor) == (None, None), (gaps, floor)
+            kinds["dead"] += 1
+            continue
+        assert last_floor == (floor_cells[-1] if balance else None), (gaps, floor)
+        kinds["live"] += 1
+
+        def span(cells):
+            ws = [w for cell in cells for w in allowed[cell]]
+            return (min(ws), max(ws)) if ws else (0, 0)
+
+        assert len(plan) == len(PAIRS)
+        for (i, j), entry in zip(PAIRS, plan):
+            ei, ej, tables, last_up, last_down, *bounds = entry
+            assert (ei, ej, last_up, last_down) == (i, j, j == DIM, j == i + 1)
+            # the size-1 multisets are the allowed weights, each counted if it is the floor
+            counted = floor if balance or j > i + 1 else 0
+            _, singles, counts = tables[1]
+            assert singles == tuple((w,) for w in allowed[i, j]), (gaps, floor, i, j)
+            assert counts == tuple(int(w == counted) for w in allowed[i, j])
+            row = span([(i, l) for l in range(j + 1, N_POINTS)])
+            up_j = span([(j, l) for l in range(j + 1, N_POINTS)])
+            down = span([(l, j) for l in range(i + 1, j)])
+            want = [*row, (DIM - j) * up_j[0], (DIM - j) * up_j[1], *down]
+            assert bounds == want, (gaps, floor, i, j)
+            kinds["empty cells"] += not allowed[i, j]
+    # with divisibility off, cell (1, 2) allows every weight from the floor up
+    assert kinds["live"] and kinds["empty cells"], kinds
+    assert bool(kinds["dead"]) == (balance and spec.prune_divisibility), kinds
 
 
 def test_full_brute_force_equivalence_tiny(closed_form_leaves):
