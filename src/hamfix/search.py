@@ -20,11 +20,12 @@ tests gets a cell plan per live floor, built in one backward pass over the
 cells straight from the gap vector (a dead floor is skipped before anything
 is built): one tuple per cell holding its multiset tables by slot count (one
 tuple per allowed weights and floor, built once per process and shared by
-every plan), whether it closes a vertex's upward or downward slots, and the
-weight bounds of the cells still open at its two vertices, so the nested
-``dfs`` closure reads everything it needs at a cell from one entry, keeps
-its slot and weight-sum state and the leaf's multiset per cell in local
-lists and its counters in local ints.  A complete leaf
+every plan) and the weight bounds of the cells still open at its two
+vertices.  The slot counts a cell may take come from ``_slots``, one walk
+over the slot matrices shared by every search, so the nested ``dfs``
+closure reads everything it needs at a cell from one plan entry and one
+slot node, keeps its weight-sum state and the leaf's multiset per cell in
+local lists and its counters in local ints.  A complete leaf
 goes to ``_leaf`` with the moment values, a pure gate that returns the
 configuration or ``None``: the smallest-weight balance from the walk's own
 floor-slot count, then the rule walk's isotropy-component pass on the raw
@@ -280,6 +281,34 @@ def _tables(allowed: tuple[int, ...], wm: int) -> tuple:
     return tuple(built)
 
 
+@cache
+def _slots(ci: int, up: tuple[int, ...], down: tuple[int, ...]) -> tuple | None:
+    """``(moves, cut)``, the slot counts the cells from ``PAIRS[ci]`` on may
+    take while vertex v has ``up[v]`` upward and ``down[v]`` downward slots
+    open, or ``None`` when no slot matrix (m_ij), upper triangular with row
+    sums DIM - i and column sums j, completes.  The candidates at cell (i,
+    j) are ``range(lo, min(up[i], down[j]) + 1)``: ``lo`` is ``up[i]`` at
+    the cell closing row i, else ``down[j]`` at the cell closing column j,
+    else 0; past (DIM - 1, DIM), which closes both, the node is ``((), 0)``
+    once every slot is placed.  ``moves`` keeps, ascending, each candidate m
+    some slot matrix completes, as ``(m, up[i] - m, down[j] - m, after)``
+    with ``after`` the next cell's node; ``cut`` counts the rest.  No weight
+    enters, so one walk of 282 states serves the process.
+    """
+    if ci == len(PAIRS):
+        return None if any(up) or any(down) else ((), 0)
+    i, j = PAIRS[ci]
+    hi = min(up[i], down[j])
+    lo = up[i] if j == N_POINTS - 1 else down[j] if i == j - 1 else 0
+    moves = []
+    for m in range(lo, hi + 1):
+        rest_i, rest_j = up[i] - m, down[j] - m
+        after = _slots(ci + 1, (*up[:i], rest_i, *up[i + 1 :]), (*down[:j], rest_j, *down[j + 1 :]))
+        if after is not None:
+            moves.append((m, rest_i, rest_j, after))
+    return (tuple(moves), hi + 1 - lo - len(moves)) if moves else None
+
+
 def _cell_plan(spec: SearchSpec, gaps: tuple[int, ...], phi: tuple[int, ...], floor: int) -> tuple:
     """``(plan, last_floor)`` for one floor: one plan entry per cell (i, j) of
     ``PAIRS``, everything the DFS reads at that cell, and, with ``balance``
@@ -292,15 +321,14 @@ def _cell_plan(spec: SearchSpec, gaps: tuple[int, ...], phi: tuple[int, ...], fl
     ``divisibility`` off, or its gap alone on the two extremal cells with
     ``extremal`` on; of these, those at least ``floor``, or, with
     ``balance`` on and j > i + 1, above it.  An entry is ``(i, j, tables,
-    last_up, last_down, row_lo, row_hi, up_j_lo, up_j_hi, down_lo,
-    down_hi)``.  ``tables`` is ``_tables`` of the allowed weights;
-    ``counts`` counts ``floor`` there, and with ``balance`` off (floor 1) on
-    the cells with j > i + 1 only, whose weight-1 slots break the balance.
-    Then come whether the cell is the last upward cell of i and the last
-    downward cell of j; the (min, max) allowed weight over the cells after j
-    in row i; the least and most weight sum j's DIM - j upward slots can
-    carry, all still open at (i, j); and the (min, max) allowed weight over
-    j's downward cells from rows after i.  One backward pass fills them:
+    row_lo, row_hi, up_j_lo, up_j_hi, down_lo, down_hi)``.  ``tables`` is
+    ``_tables`` of the allowed weights; ``counts`` counts ``floor`` there,
+    and with ``balance`` off (floor 1) on the cells with j > i + 1 only,
+    whose weight-1 slots break the balance.  Then come the (min, max)
+    allowed weight over the cells after j in row i; the least and most
+    weight sum j's DIM - j upward slots can carry, all still open at (i,
+    j); and the (min, max) allowed weight over j's downward cells from rows
+    after i.  One backward pass fills them:
     ``rows[v]`` and ``cols[v]`` span the cells already passed in row and
     column v, (0, 0) while none of them allows a weight.  Under a floor a
     cell's allowed weights may be empty (a gap of 2 at floor 3); an empty
@@ -308,7 +336,6 @@ def _cell_plan(spec: SearchSpec, gaps: tuple[int, ...], phi: tuple[int, ...], fl
     below such a bound and any window computed over it is sound.
     """
     balance = spec.prune_balance
-    every = tuple(range(1, spec.max_weight + 1))
     allowed = []
     for i, j in PAIRS:
         if spec.prune_extremal and j == i + 1 and i in (0, DIM - 1):
@@ -316,7 +343,7 @@ def _cell_plan(spec: SearchSpec, gaps: tuple[int, ...], phi: tuple[int, ...], fl
         elif spec.prune_divisibility:
             ws = _divisors_leq(phi[j] - phi[i], spec.max_weight)
         else:
-            ws = every
+            ws = tuple(range(1, spec.max_weight + 1))
         allowed.append(ws[(bisect_right if balance and j > i + 1 else bisect_left)(ws, floor) :])
     last_floor = None
     if balance:
@@ -337,8 +364,6 @@ def _cell_plan(spec: SearchSpec, gaps: tuple[int, ...], phi: tuple[int, ...], fl
             i,
             j,
             _tables(ws, floor if balance or j > i + 1 else 0),
-            j == N_POINTS - 1,
-            i == j - 1,
             row_lo,
             row_hi,
             (DIM - j) * j_lo,
@@ -371,10 +396,11 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
     consecutive cell allows is dead and gets no plan, and
     ``dfs`` counts the ``wm`` slots placed so far: at the last consecutive
     cell that allows ``wm``, a walk holding none yet keeps only the
-    multisets that hold one.  ``dfs(ci, seen)`` works from ``plan[ci]``
-    alone; with targets active, each cell keeps only the multisets whose sum
-    leaves both endpoint vertices able to reach their targets with the slots
-    they have left.
+    multisets that hold one.  ``dfs(ci, seen, slots)`` works from
+    ``plan[ci]`` and the ``_slots`` node ``slots`` alone; with targets
+    active, each cell keeps only the multisets whose sum leaves both
+    endpoint vertices able to reach their targets with the slots they have
+    left.
 
     ``dfs`` counts in local ints: ``nodes`` starts from ``stats.nodes``, so
     the node limit is tested against the running total, and the
@@ -401,14 +427,13 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
         floors = range(1, maxw + 1)
     n_cells = len(PAIRS)
     limit = spec.node_limit
-    up = [DIM - v for v in range(N_POINTS)]
-    down = list(range(N_POINTS))
+    root = _slots(0, tuple(DIM - v for v in range(N_POINTS)), tuple(range(N_POINTS)))
     psum = [0] * N_POINTS
     acc: list = [None] * n_cells
     nodes = stats.nodes
     n_gamma = n_slot = n_balance = n_final = 0
 
-    def dfs(ci: int, seen: int) -> None:
+    def dfs(ci: int, seen: int, slots) -> None:
         nonlocal nodes, n_gamma, n_slot, n_balance, n_final
         if ci == n_cells:
             config = _leaf(spec, phi, acc, seen)
@@ -417,31 +442,9 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
             else:
                 sink.append(config)
             return
-        i, j, tables, last_up, last_down, row_lo, row_hi, up_j_lo, up_j_hi, down_lo, down_hi = (
-            plan[ci]
-        )
-        ui, dj = up[i], down[j]
-        if last_up:
-            if ui > dj or (last_down and ui != dj):
-                n_slot += 1
-                return
-            m_lo = m_hi = ui
-        else:
-            if last_down:
-                if dj > ui:
-                    n_slot += 1
-                    return
-                m_lo = m_hi = dj
-            else:
-                m_lo, m_hi = 0, (ui if ui < dj else dj)
-            # an m below short leaves i more upward slots than the vertices
-            # after j can take: their downward slots left, less the one
-            # upward slot of vertex 4 (i < 4 here), which only (4, 5) places
-            short = ui - sum(down[j + 1 :]) + 1
-            if short > m_lo:
-                cut = (short if short <= m_hi else m_hi + 1) - m_lo
-                n_slot += cut
-                m_lo += cut
+        i, j, tables, row_lo, row_hi, up_j_lo, up_j_hi, down_lo, down_hi = plan[ci]
+        moves, cut = slots
+        n_slot += cut
         if targets is not None:
             # the cell's weight sum must leave both vertices able to reach
             # their targets with the slots they have left
@@ -452,13 +455,11 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
         # the leaf's last chance of a floor slot
         need = ci == last_floor and not seen
         nxt = ci + 1
-        for m in range(m_lo, m_hi + 1):
-            rest_i = ui - m
+        for m, rest_i, rest_j, after in moves:
             sums, msets, counts = tables[m]
             a = 0
             b = n_sets = len(sums)
             if targets is not None:
-                rest_j = dj - m
                 lo = need_i - rest_i * row_hi
                 x = j_lo - rest_j * down_hi
                 if x > lo:
@@ -472,8 +473,6 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
                 n_gamma += n_sets - (b - a if b > a else 0)  # multisets cut
                 if a >= b:
                     continue
-            up[i] = rest_i
-            down[j] = dj - m
             for k in range(a, b):
                 c = counts[k]
                 if need and not c:
@@ -486,9 +485,8 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
                 psum[i] = pi + s
                 psum[j] = pj - s
                 acc[ci] = msets[k]
-                dfs(nxt, seen + c)
-            up[i], down[j] = ui, dj
-            psum[i], psum[j] = pi, pj
+                dfs(nxt, seen + c, after)
+        psum[i], psum[j] = pi, pj
 
     try:
         for n, wm in enumerate(floors):
@@ -502,7 +500,7 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
                 n_balance += 1
                 continue
             for targets in candidates:
-                dfs(0, 0)
+                dfs(0, 0, root)
     finally:
         stats.nodes = nodes
         pruned["gamma"] += n_gamma

@@ -106,6 +106,15 @@ def test_enumerate_json(capsys):
     assert doc["statistics"]["nodes"] > 0
 
 
+def test_enumerate_huge_max_weight_with_divisibility(capsys):
+    # with divisibility on, no cell lists every weight up to --max-weight,
+    # so a bound far beyond memory still searches the one gap vector
+    argv = ["enumerate", "--max-weight", "100000000000", "--max-width", "5", "--threads", "1"]
+    assert main(argv + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [c["moment"] for c in doc["configurations"]] == [[0, 1, 2, 3, 4, 5]]
+
+
 def test_enumerate_bad_prune_rule():
     assert main(["enumerate", "--max-weight", "2", "--max-width", "5", "--no-prune", "bogus"]) == 2
 

@@ -45,6 +45,8 @@ from hamfix.model import (
 )
 from hamfix.search import SearchStats, _gap_vectors, o_weight_system
 
+from conftest import _slot_matrix_sum
+
 O_WS = (
     (1, 2, 3, 4, 5),
     (-1, 1, 3, 4, 5),
@@ -473,8 +475,8 @@ def test_cell_plan_matches_its_definition(spec, sample):
 
         assert len(plan) == len(PAIRS)
         for (i, j), entry in zip(PAIRS, plan):
-            ei, ej, tables, last_up, last_down, *bounds = entry
-            assert (ei, ej, last_up, last_down) == (i, j, j == DIM, j == i + 1)
+            ei, ej, tables, *bounds = entry
+            assert (ei, ej) == (i, j)
             # the size-1 multisets are the allowed weights, each counted if it is the floor
             counted = floor if balance or j > i + 1 else 0
             _, singles, counts = tables[1]
@@ -489,6 +491,40 @@ def test_cell_plan_matches_its_definition(spec, sample):
     # with divisibility off, cell (1, 2) allows every weight from the floor up
     assert kinds["live"] and kinds["empty cells"], kinds
     assert bool(kinds["dead"]) == (balance and spec.prune_divisibility), kinds
+
+
+def test_slot_walk_is_the_slot_matrices():
+    # the complete paths through _slots are exactly the upper-triangular slot
+    # matrices with row sums 5 - i and column sums j, as many as conftest's
+    # independent count, and a cell closing a row or column that a complete
+    # path reaches cuts nothing: its one candidate is forced
+    paths = []
+
+    def walk(ci, node, cells):
+        if ci == len(PAIRS):
+            assert node == ((), 0)
+            paths.append(cells)
+            return
+        moves, cut = node
+        i, j = PAIRS[ci]
+        if j == N_POINTS - 1 or i == j - 1:
+            assert cut == 0, (PAIRS[ci], cells)
+        assert [m for m, *_ in moves] == sorted({m for m, *_ in moves})
+        for m, _, _, after in moves:
+            walk(ci + 1, after, {**cells, (i, j): m})
+
+    up, down = tuple(DIM - v for v in range(N_POINTS)), tuple(range(N_POINTS))
+    walk(0, search._slots(0, up, down), {})
+    assert len(paths) == _slot_matrix_sum(1) == 391
+    for cells in paths:
+        rows = [sum(cells[i, j] for j in range(i + 1, N_POINTS)) for i in range(N_POINTS)]
+        cols = [sum(cells[i, j] for i in range(j)) for j in range(N_POINTS)]
+        assert (rows, cols) == (list(up), list(down)), cells
+    # one surplus slot at any vertex leaves the totals unequal: no matrix
+    for v in range(N_POINTS):
+        up_v = (*up[:v], up[v] + 1, *up[v + 1 :])
+        down_v = (*down[:v], down[v] + 1, *down[v + 1 :])
+        assert search._slots(0, up_v, down) is None and search._slots(0, up, down_v) is None, v
 
 
 def test_full_brute_force_equivalence_tiny(closed_form_leaves):
