@@ -4,8 +4,9 @@ Subcommands: ``check``, ``report``, ``enumerate``, ``verify``, ``examples``,
 ``project-gkm``.  Human-readable tables go to stdout by default; ``--json``
 switches stdout to the machine-readable document (the human output never
 contains information absent from the JSON; ``project-gkm`` always prints
-its JSON document).  ``verify`` rejects a flag its theorem does not read,
-and ``check`` rejects ``--effective`` together with ``--no-effective``.
+its JSON document).  ``verify`` rejects a flag its theorem does not read.
+``check --effective`` and ``--no-effective`` set the configuration's
+``effective`` field before checking it, and together they are rejected.
 Exit codes: 0 success/PASS, 1 violations or a failed verification, 2 usage
 or parse errors, each reported as one ``error:`` line on stderr.
 """
@@ -13,6 +14,7 @@ or parse errors, each reported as one ``error:`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -79,8 +81,9 @@ def _cmd_check(args) -> int:
     if args.effective and args.no_effective:
         raise ParamError("--effective and --no-effective cannot be combined")
     config = _load_config(args.config)
-    effective = True if args.effective else (False if args.no_effective else None)
-    report = check_all(config, effective=effective)
+    if args.effective or args.no_effective:
+        config = dataclasses.replace(config, effective=args.effective)
+    report = check_all(config)
     doc = report.to_dict()
     human = [f"configuration: {config.label or args.config}"]
     human.append(f"pass: {report.passed}   c1: {report.c1}")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import attrgetter
 
 from .model import (
@@ -132,10 +133,9 @@ def _iter_balance(edges, level, dim: int, k: int | None, vertices):
     With w the smallest weight among the plain ``(lo, hi, w, mult)``
     ``edges``, the number of ``-w`` slots at points of index level m+1 must
     equal the number of ``+w`` slots at level m.  ``level[v]`` is vertex
-    v's level in ``0..dim``.
+    v's level in ``0..dim``.  ``edges`` is never empty: the global call
+    follows the structure check, and every isotropy component has an edge.
     """
-    if not edges:
-        return
     wmin = min([e[2] for e in edges])
     plus = [0] * (dim + 1)
     minus = [0] * (dim + 1)
@@ -229,7 +229,7 @@ def _iter_gamma_relation(c: Configuration, ws: WeightSystem, k: int):
 
 
 def _iter_effectiveness(c: Configuration):
-    g = c.weight_gcd()
+    g = gcd(*[e.w for e in c.edges])
     if g != 1:
         yield Violation(
             "Effectiveness",
@@ -302,12 +302,13 @@ def _iter_components(edges, weights):
 # the rule walk behind check_all and is_valid
 
 
-def _walk(c: Configuration, effective: bool | None):
+def _walk(c: Configuration):
     """Yield every violation of ``c``, cheap and lethal rules first.
 
     The order is structure, extremal edges, c1, divisibility, global
     balance, then the isotropy-component pass over the plain edges, then
-    the gamma relation and effectiveness.  The weight system is
+    the gamma relation and, when ``c.effective`` is set, effectiveness
+    (the gcd of the edge weights is 1).  The weight system is
     ``c.weight_system``, whose ``StructureError`` stands for the Structure
     violations.  Returns the first-Chern multiple, or ``None`` when
     undefined.
@@ -329,7 +330,7 @@ def _walk(c: Configuration, effective: bool | None):
     yield from _iter_components(edges, ws.weights)
     if c1 is not None:
         yield from _iter_gamma_relation(c, ws, c1)
-    if c.effective if effective is None else effective:
+    if c.effective:
         yield from _iter_effectiveness(c)
     return c1
 
@@ -344,13 +345,14 @@ def compute_c1(c: Configuration) -> int | Violation:
     return _c1_of(c, c.weight_system)
 
 
-def check_all(c: Configuration, effective: bool | None = None) -> CheckReport:
+def check_all(c: Configuration) -> CheckReport:
     """Collect every violation into a PASS/FAIL report.
 
-    ``effective`` overrides the configuration's own effectiveness flag;
-    when the flag is set the gcd-of-weights check is included.
+    The gcd-of-weights check runs exactly when ``c.effective`` is set; to
+    check the same data with the other setting, check
+    ``dataclasses.replace(c, effective=...)``.
     """
-    walk = _walk(c, effective)
+    walk = _walk(c)
     violations: list[Violation] = []
     while True:
         try:
@@ -366,4 +368,4 @@ def check_all(c: Configuration, effective: bool | None = None) -> CheckReport:
 def is_valid(c: Configuration) -> bool:
     """Exactly ``check_all(c).passed``, stopping at the first violation; used
     as the enumeration's final gate."""
-    return next(_walk(c, None), None) is None
+    return next(_walk(c), None) is None

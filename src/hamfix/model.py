@@ -32,7 +32,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, isqrt, prod
+from math import isqrt, prod
 
 N_POINTS = 6
 DIM = 5  # complex dimension: five weights per fixed point
@@ -103,10 +103,6 @@ class MomentProfile:
     def width(self) -> int:
         return self.values[-1]
 
-    def flipped(self) -> "MomentProfile":
-        top = self.values[-1]
-        return MomentProfile(tuple(top - v for v in reversed(self.values)))
-
 
 @dataclass(frozen=True)
 class Configuration:
@@ -138,12 +134,6 @@ class Configuration:
 
     def max_weight(self) -> int:
         return max(e.w for e in self.edges) if self.edges else 0
-
-    def weight_gcd(self) -> int:
-        g = 0
-        for e in self.edges:
-            g = gcd(g, e.w)
-        return g
 
     @cached_property
     def weight_system(self) -> "WeightSystem":
@@ -323,7 +313,7 @@ def _orders(weights) -> list[int]:
 
 def flip(c: Configuration) -> Configuration:
     """The same data under the reversed circle action."""
-    prof = c.profile.flipped()
+    prof = MomentProfile(tuple(c.profile.width - v for v in reversed(c.moment)))
     edges = tuple(
         WeightEdge(N_POINTS - 1 - e.hi, N_POINTS - 1 - e.lo, e.w, e.mult)
         for e in c.edges

@@ -317,9 +317,9 @@ def _cell_plan(spec: SearchSpec, gaps: tuple[int, ...], phi: tuple[int, ...], fl
     cell allowing ``floor``, the floor is dead (``_search_gap``) and the
     result is ``(None, None)``, before any table or bound is built.
 
-    A cell allows the divisors of its gap, every weight with
-    ``divisibility`` off, or its gap alone on the two extremal cells with
-    ``extremal`` on; of these, those at least ``floor``, or, with
+    A cell allows the divisors of its gap, every weight up to the smaller
+    of ``max_weight`` and the width with ``divisibility`` off, or its gap
+    alone on the two extremal cells with ``extremal`` on; of these, those at least ``floor``, or, with
     ``balance`` on and j > i + 1, above it.  An entry is ``(i, j, tables,
     row_lo, row_hi, up_j_lo, up_j_hi, down_lo, down_hi)``.  ``tables`` is
     ``_tables`` of the allowed weights; ``counts`` counts ``floor`` there,
@@ -343,7 +343,8 @@ def _cell_plan(spec: SearchSpec, gaps: tuple[int, ...], phi: tuple[int, ...], fl
         elif spec.prune_divisibility:
             ws = _divisors_leq(phi[j] - phi[i], spec.max_weight)
         else:
-            ws = tuple(range(1, spec.max_weight + 1))
+            # a weight above the width divides no gap, so no leaf holds one
+            ws = tuple(range(1, min(spec.max_weight, spec.max_width) + 1))
         allowed.append(ws[(bisect_right if balance and j > i + 1 else bisect_left)(ws, floor) :])
     last_floor = None
     if balance:

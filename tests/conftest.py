@@ -45,23 +45,27 @@ def mutant_corpus():
     return base + mutants
 
 
-def _slot_matrix_sum(n: int) -> int:
+#: the upper-triangular cells (i, j), i < j, of a slot matrix, in row order
+CELLS = list(combinations(range(6), 2))
+
+
+def _slot_matrix_sum(counts) -> int:
     """The sum, over every upper-triangular slot matrix (m_ij) with row sums
-    5 - i and column sums j, of prod C(n + m_ij - 1, m_ij): the leaves of one
-    gap vector's walk when each of its cells allows the same n weights."""
-    cells = list(combinations(range(6), 2))
+    5 - i and column sums j, of prod C(n_ij + m_ij - 1, m_ij): the leaves of
+    one gap vector's walk when cell ``CELLS[k]`` allows ``counts[k]``
+    weights."""
 
     def walk(k: int, up: list, down: list) -> int:
-        if k == len(cells):
+        if k == len(CELLS):
             return 1
-        i, j = cells[k]
+        i, j = CELLS[k]
         # the last cell of a row or of a column takes all that is left
         lo = max(up[i] if j == 5 else 0, down[j] if i == j - 1 else 0)
         total = 0
         for m in range(lo, min(up[i], down[j]) + 1):
             up[i] -= m
             down[j] -= m
-            total += comb(n + m - 1, m) * walk(k + 1, up, down)
+            total += comb(counts[k] + m - 1, m) * walk(k + 1, up, down)
             up[i] += m
             down[j] += m
         return total
@@ -83,6 +87,6 @@ def closed_form_leaves():
             for g in product(range(1, max_width + 1), repeat=5)
             if sum(g) <= max_width and g <= g[::-1]
         ]
-        return len(gaps) * _slot_matrix_sum(max_weight)
+        return len(gaps) * _slot_matrix_sum([max_weight] * len(CELLS))
 
     return count

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -66,6 +67,35 @@ def test_check_conflicting_effective_flags(o_file, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_check_effective_flags_set_the_field(tmp_path, capsys):
+    # o with every weight and moment value doubled: the gcd of its weights is
+    # 2, which fails the file's "effective": true unless --no-effective
+    doc = config_to_dict(builtin("o"))
+    doc["moment"] = [2 * v for v in doc["moment"]]
+    for e in doc["edges"]:
+        e["w"] *= 2
+    assert doc["effective"] is True
+    path = tmp_path / "doubled.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--json"]) == 1
+    rules = {v["rule"] for v in json.loads(capsys.readouterr().out)["violations"]}
+    assert rules == {"Effectiveness"}
+    assert main(["check", str(path), "--no-effective"]) == 0
+    assert main(["check", str(path), "--effective"]) == 1
+
+
+def test_check_human_violation_row(tmp_path, capsys):
+    doc = config_to_dict(builtin("cp5", 1, 1, 1, 1, 1))
+    for e in doc["edges"]:
+        if (e["lo"], e["hi"]) == (0, 1):
+            e["w"] = 2
+    path = tmp_path / "cp5_w2.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 1
+    row = f"{'Divisibility':<24} {'0,1 (0,1,w2)':<22} weight 2 does not divide moment gap 1"
+    assert row in capsys.readouterr().out.splitlines()
+
+
 def test_report_json(o_file, capsys):
     assert main(["report", o_file, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -113,6 +143,27 @@ def test_enumerate_huge_max_weight_with_divisibility(capsys):
     assert main(argv + ["--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert [c["moment"] for c in doc["configurations"]] == [[0, 1, 2, 3, 4, 5]]
+
+
+def test_enumerate_huge_max_weight_without_divisibility_hits_node_limit():
+    # without divisibility a cell lists every weight up to the width, not up
+    # to --max-weight, so the run reaches its node limit and exits 1 with one
+    # line; the child's address space is capped so that listing every weight
+    # up to --max-weight fails fast instead of exhausting the machine
+    argv = ["enumerate", "--max-weight", "100000000000", "--max-width", "5"]
+    argv += ["--no-prune", "divisibility", "--node-limit", "1000", "--threads", "1"]
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "hamfix.cli", *argv],
+        capture_output=True,
+        text=True,
+        preexec_fn=cap_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: node limit 1000 exceeded\n"
 
 
 def test_enumerate_bad_prune_rule():
@@ -289,10 +340,19 @@ def test_bad_thread_count_env_exits_2(value, message, monkeypatch, capsys):
 
 
 def test_check_rejects_coerced_json(tmp_path, capsys):
-    for change in ({"effective": "false"}, {"moment": [0, 1, 4, 6, 9, True]}):
+    # each change reaches its own schema check, named by its message
+    for change, message in (
+        ({"effective": "false"}, "'effective' must be true or false"),
+        ({"moment": [0, 1, 4, 6, 9, True]}, "'moment' must be a list of integers"),
+        ({"edges": {"lo": 0, "hi": 1, "w": 1}}, "'edges' must be a list"),
+        ({"edges": [[0, 1, 1]]}, "each edge must be an object"),
+        ({"edges": [{"lo": 1, "hi": 0, "w": 1}]}, "edge endpoints out of range: (1, 0)"),
+        ({"label": 7}, "'label' must be a string"),
+    ):
         doc = {**config_to_dict(builtin("o")), **change}
         path = tmp_path / "coerced.json"
         path.write_text(json.dumps(doc))
         assert main(["check", str(path)]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert lines[0].endswith(message), lines[0]

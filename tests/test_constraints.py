@@ -432,8 +432,8 @@ def test_effectiveness_flag(o):
         MomentProfile(tuple(2 * v for v in o.moment)),
         tuple(WeightEdge(e.lo, e.hi, 2 * e.w, e.mult) for e in o.edges),
     )
-    assert check_all(doubled, effective=False).passed
-    report = check_all(doubled, effective=True)
+    assert check_all(dataclasses.replace(doubled, effective=False)).passed
+    report = check_all(dataclasses.replace(doubled, effective=True))
     assert not report.passed
     assert {v.rule for v in report.violations} == {"Effectiveness"}
 
@@ -502,13 +502,13 @@ def _random_mutant_corpus():
 
 def test_is_valid_matches_check_all_random_mutants():
     # the early-exit walk of is_valid against the full report, on the
-    # builtins and seeded single-edge weight mutants, for every flag value;
-    # is_valid reads the configuration's own flag, check_all the override
+    # builtins and seeded single-edge weight mutants, with the configuration's
+    # own effectiveness flag and with it set to True and to False
     outcomes = set()
     for c in _random_mutant_corpus():
         for eff in (None, True, False):
-            passed = check_all(c, eff).passed
             flagged = c if eff is None else dataclasses.replace(c, effective=eff)
+            passed = check_all(flagged).passed
             assert is_valid(flagged) == passed, (c.label, eff)
             outcomes.add(passed)
     assert outcomes == {True, False}

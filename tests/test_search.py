@@ -45,7 +45,7 @@ from hamfix.model import (
 )
 from hamfix.search import SearchStats, _gap_vectors, o_weight_system
 
-from conftest import _slot_matrix_sum
+from conftest import CELLS, _slot_matrix_sum
 
 O_WS = (
     (1, 2, 3, 4, 5),
@@ -515,7 +515,7 @@ def test_slot_walk_is_the_slot_matrices():
 
     up, down = tuple(DIM - v for v in range(N_POINTS)), tuple(range(N_POINTS))
     walk(0, search._slots(0, up, down), {})
-    assert len(paths) == _slot_matrix_sum(1) == 391
+    assert len(paths) == _slot_matrix_sum([1] * len(CELLS)) == 391
     for cells in paths:
         rows = [sum(cells[i, j] for j in range(i + 1, N_POINTS)) for i in range(N_POINTS)]
         cols = [sum(cells[i, j] for i in range(j)) for j in range(N_POINTS)]
@@ -546,6 +546,19 @@ def test_full_brute_force_equivalence_tiny(closed_form_leaves):
     assert brute.stats.to_dict() == _stats(11040, 0, 0, 388, 0, 1564)
     # every leaf the slot cuts let through, against the closed form
     assert brute.stats.pruned["final"] + len(brute.configurations) == closed_form_leaves(1, 6)
+
+
+def test_divisibility_walk_matches_closed_form():
+    # with divisibility the only rule, each cell (i, j) of the pinned
+    # (1,1,1,1,1) walk allows the divisors of its gap j - i up to the weight;
+    # every leaf the walk reaches, against the closed form over those counts
+    spec = SearchSpec(
+        5, 5, gaps=(1, 1, 1, 1, 1), prune_extremal=False, prune_gamma=False, prune_balance=False
+    )
+    res = enumerate_configurations(spec, workers=1)
+    counts = [sum((j - i) % w == 0 for w in range(1, 6)) for i, j in CELLS]
+    assert len(res.configurations) == 1
+    assert res.stats.pruned["final"] + 1 == _slot_matrix_sum(counts) == 395_190
 
 
 def test_import_loads_no_process_pool():
