@@ -8,7 +8,8 @@ its JSON document).  ``verify`` rejects a flag its theorem does not read.
 ``check --effective`` and ``--no-effective`` set the configuration's
 ``effective`` field before checking it, and together they are rejected.
 Exit codes: 0 success/PASS, 1 violations or a failed verification, 2 usage
-or parse errors, each reported as one ``error:`` line on stderr.
+or parse errors (an edge weight above ``MAX_EDGE_WEIGHT`` among them), each
+reported as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ from .search import (
 
 _USAGE_EXIT = 2
 
+#: the largest edge weight the CLI accepts: a weight's isotropy orders come
+#: from trial division up to its square root, a million steps at this bound
+MAX_EDGE_WEIGHT = 10**12
+
 
 def _emit(doc: dict, human_lines: list[str], as_json: bool) -> None:
     if as_json:
@@ -59,10 +64,17 @@ def _emit(doc: dict, human_lines: list[str], as_json: bool) -> None:
             print(line)
 
 
+def _bounded(config):
+    """``config``, or a SchemaError if an edge weight exceeds ``MAX_EDGE_WEIGHT``."""
+    if config.max_weight() > MAX_EDGE_WEIGHT:
+        raise SchemaError(f"edge weight {config.max_weight()} exceeds {MAX_EDGE_WEIGHT}")
+    return config
+
+
 def _load_config(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return config_loads(fh.read())
+            return _bounded(config_loads(fh.read()))
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
@@ -215,7 +227,7 @@ def _cmd_examples(args) -> int:
         for name in BUILTIN_NAMES:
             print(name)
         return 0
-    config = builtin(args.name, *(args.params or ()))
+    config = _bounded(builtin(args.name, *(args.params or ())))
     if args.action == "export":
         print(config_dumps(config))
         return 0
@@ -232,7 +244,7 @@ def _cmd_examples(args) -> int:
 
 
 def _cmd_project_gkm(args) -> int:
-    config = canonicalize(project_gkm(o_gkm_graph(), _parse_ints(args.xi, 2, "--xi")))
+    config = _bounded(canonicalize(project_gkm(o_gkm_graph(), _parse_ints(args.xi, 2, "--xi"))))
     print(config_dumps(config))
     return 0
 

@@ -28,10 +28,11 @@ slot node, keeps its weight-sum state and the leaf's multiset per cell in
 local lists and its counters in local ints.  A complete leaf
 goes to ``_leaf`` with the moment values, a pure gate that returns the
 configuration or ``None``: the smallest-weight balance from the walk's own
-floor-slot count, then the rule walk's isotropy-component pass on the raw
-cells, then, for the survivors only, the objects, ``is_valid``, the filters
-and Chern integrality.  ``_search_gap`` counts the rejected leaves
-and sends every accepted one to the sink.  Four pruning rules can be
+floor-slot count, then ``_uneven``'s packed per-vertex counts of k-divisible
+weights, then the rule walk's isotropy-component pass on the raw cells, then,
+for the survivors only, the objects, ``is_valid``, the filters and Chern
+integrality.  ``_search_gap`` counts the rejected leaves and sends every
+accepted one to the sink.  Four pruning rules can be
 toggled off independently, in which case the same final set is produced by
 brute force:
 
@@ -84,6 +85,7 @@ from .model import (
     WeightEdge,
     _has_edge,
     _is_int,
+    _orders,
     canonicalize,
     config_to_dict,
     sort_key,
@@ -425,7 +427,8 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
     elif spec.prune_extremal:
         floors = range(1, min(gaps[0], gaps[4]) + 1)
     else:
-        floors = range(1, maxw + 1)
+        # no cell allows a weight above the width (``_cell_plan``)
+        floors = range(1, min(maxw, spec.max_width) + 1)
     n_cells = len(PAIRS)
     limit = spec.node_limit
     root = _slots(0, tuple(DIM - v for v in range(N_POINTS)), tuple(range(N_POINTS)))
@@ -515,19 +518,19 @@ def _leaf(spec: SearchSpec, phi: tuple[int, ...], acc, seen: int) -> Configurati
     cells spell, or ``None`` if a gate rejects it; ``acc[ci]`` holds the
     weights of cell ``PAIRS[ci]``.
 
-    The gates run in this order: the global smallest-weight balance, the rule
-    walk's isotropy-component pass on the raw cells, then, for the few leaves
-    that pass both, the objects (the moment profile first), ``is_valid``, the
-    filters and Chern integrality.  ``seen`` is the walk's count of floor
-    slots (``_cell_plan``).  With ``balance`` on, the plan already balances
-    every leaf.  With it off, ``seen`` counts the weight-1 slots on cells
-    (i, j) with j > i + 1, and the leaf is rejected if it holds one: on a
-    leaf holding a weight-1 slot that is exactly the global rule
-    (``_search_gap``), and a leaf without one is left to ``is_valid``.  Both
-    screens are rules
-    ``is_valid`` also checks, so they only reject earlier.
+    The gates run in this order: the global smallest-weight balance,
+    ``_uneven`` (most leaves die there), the rule walk's isotropy-component
+    pass on the raw cells, then, for the few leaves that pass all three, the
+    objects (the moment profile first), ``is_valid``, the filters and Chern
+    integrality.  ``seen`` is the walk's count of floor slots
+    (``_cell_plan``).  With ``balance`` on, the plan balances every leaf.
+    With it off, ``seen`` counts the weight-1 slots on cells (i, j) with j >
+    i + 1, and the leaf is rejected if it holds one: on a leaf holding a
+    weight-1 slot that is exactly the global rule (``_search_gap``), and a leaf
+    without one is left to ``is_valid``.  Each screen is a rule ``is_valid``
+    also checks, so it only rejects earlier.
     """
-    if seen and not spec.prune_balance:
+    if (seen and not spec.prune_balance) or _uneven(acc):
         return None
     edges, weights = _leaf_plain(acc)
     if next(_iter_components(edges, weights), None) is not None:
@@ -545,6 +548,30 @@ def _leaf(spec: SearchSpec, phi: tuple[int, ...], acc, seen: int) -> Configurati
     except cohomology.CohomologyError:
         return None
     return config
+
+
+@cache
+def _pack(ws: tuple[int, ...]) -> tuple[int, int]:
+    """``(word, mask)`` for a cell's weights: the 4-bit field at bit 4(k - 2)
+    of ``word`` counts those an order k >= 2 divides, and ``mask`` covers
+    the fields of the k that divide one.  A vertex sums at most DIM = 5."""
+    word = mask = 0
+    for k in _orders(ws):
+        word += sum(w % k == 0 for w in ws) << 4 * (k - 2)
+        mask |= 15 << 4 * (k - 2)
+    return word, mask
+
+
+def _uneven(acc) -> bool:
+    """Whether a cell (i, j) holds a k-divisible weight while i and j hold
+    unequal counts of them: exactly when ``_iter_components`` finds an
+    isotropy component whose divisible-weight counts are not constant."""
+    packed = [_pack(ws) for ws in acc]
+    vc = [0] * N_POINTS
+    for (i, j), (word, _) in zip(PAIRS, packed):
+        vc[i] += word
+        vc[j] += word
+    return any((vc[i] ^ vc[j]) & mask for (i, j), (_, mask) in zip(PAIRS, packed))
 
 
 def _leaf_plain(acc) -> tuple[list, list]:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from hamfix import builtin, config_from_dict, config_to_dict
-from hamfix.cli import main
+from hamfix.cli import MAX_EDGE_WEIGHT, main
 from hamfix.model import sort_key
 
 
@@ -166,6 +166,41 @@ def test_enumerate_huge_max_weight_without_divisibility_hits_node_limit():
     assert proc.stderr == "error: node limit 1000 exceeded\n"
 
 
+def test_enumerate_huge_max_weight_with_every_floor_rule_off_hits_node_limit():
+    # with extremal, gamma and divisibility off the floors run up to the
+    # width, not to --max-weight, so the run reaches its node limit in well
+    # under a second and exits 1 with one line
+    argv = ["enumerate", "--max-weight", "100000000000", "--max-width", "5", "--node-limit", "1000"]
+    for rule in ("divisibility", "extremal", "gamma"):
+        argv += ["--no-prune", rule]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hamfix.cli", *argv, "--threads", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: node limit 1000 exceeded\n"
+
+
+def test_edge_weight_bound(tmp_path, capsys):
+    # cp5 with last gap g has largest weight g + 4: the bound itself is
+    # accepted, one more is a parse error wherever a configuration is built
+    assert MAX_EDGE_WEIGHT == 10**12
+    for g, code in ((MAX_EDGE_WEIGHT - 4, 0), (MAX_EDGE_WEIGHT - 3, 2)):
+        assert main(["examples", "export", "cp5", "1", "1", "1", "1", str(g)]) == code
+    err = capsys.readouterr().err
+    assert err == f"error: edge weight {MAX_EDGE_WEIGHT + 1} exceeds {MAX_EDGE_WEIGHT}\n"
+    doc = config_to_dict(builtin("cp5", 1, 1, 1, 1, 10**18))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    for command in ("check", "report"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: edge weight {10**18 + 4} exceeds {MAX_EDGE_WEIGHT}\n"
+
+
 def test_enumerate_bad_prune_rule():
     assert main(["enumerate", "--max-weight", "2", "--max-width", "5", "--no-prune", "bogus"]) == 2
 
@@ -263,6 +298,8 @@ def test_console_script_entry_point(o_file):
         ["enumerate", "--max-weight", "1", "--gaps", "1,3,2,3,2"],  # wider than the bound 10
         ["verify", "thm4", "--a", "1"],
         ["verify", "thm4", "--a", "1", "--c", "4"],
+        ["examples", "show", "cp5", "1", "1", "1", "1", str(10**18)],  # weight 10**18 + 4
+        ["project-gkm", "--xi", f"1,{2 * 10**12}"],  # largest weight 4 * 10**12 + 1
     ],
 )
 def test_argument_errors_exit_2_with_one_line(argv, capsys):

@@ -45,7 +45,7 @@ from hamfix.model import (
 )
 from hamfix.search import SearchStats, _gap_vectors, o_weight_system
 
-from conftest import CELLS, _slot_matrix_sum
+from conftest import CELLS, _screened_leaves, _slot_matrix_sum, _uneven_reference
 
 O_WS = (
     (1, 2, 3, 4, 5),
@@ -213,6 +213,40 @@ def _walk_leaves(spec):
 
 def _globally_balanced(edges):
     return not any(_iter_balance(edges, range(N_POINTS), DIM, None, range(N_POINTS)))
+
+
+def _random_fill(rng, maxw):
+    """Seeded random cells of a slot-respecting leaf: each cell takes a slot
+    count from the slot walk and that many weights from 1..maxw."""
+    acc, slots = [], search._slots(0, (5, 4, 3, 2, 1, 0), (0, 1, 2, 3, 4, 5))
+    for _ in PAIRS:
+        m, _, _, slots = rng.choice(slots[0])
+        acc.append(tuple(sorted(rng.randint(1, maxw) for _ in range(m))))
+    return acc
+
+
+def test_packed_screen_matches_component_pass():
+    # the packed screen rejects a leaf exactly when the component pass finds
+    # a component whose divisible-weight counts are not constant: on every
+    # leaf that reaches it at (5,10), (4,10) and in the all-off (2,6) walk,
+    # and on seeded random slot-respecting fills with weights up to 12
+    all_off = SearchSpec(
+        2, 6, prune_divisibility=False, prune_extremal=False, prune_gamma=False, prune_balance=False
+    )
+    sources = {
+        "(5,10)": _screened_leaves(SearchSpec(5, 10)),
+        "(4,10)": _screened_leaves(SearchSpec(4, 10)),
+        "all-off (2,6)": _screened_leaves(all_off),
+    }
+    rng = random.Random(20261020)
+    sources["random"] = [_random_fill(rng, rng.randint(1, 12)) for _ in range(20000)]
+    for name, leaves in sources.items():
+        sides = collections.Counter()
+        for acc in leaves:
+            uneven = _uneven_reference(acc)
+            assert search._uneven(acc) == uneven, (name, acc)
+            sides[uneven] += 1
+        assert sides[True] > 0 and sides[False] > 0, (name, sides)
 
 
 def test_balance_holds_iff_smallest_weight_on_consecutive_vertices(mutant_corpus):
