@@ -16,9 +16,10 @@ only that its vertices have equally many such weights.
 One ordered walk over the rules yields the violations:
 :func:`check_all` collects all of them into a report, and :func:`is_valid`
 stops at the first one for the enumeration hot path.  Its isotropy-component
-pass, :func:`_iter_components`, reads only plain ``(lo, hi, w, mult)`` edges
-and per-vertex signed weights, so the search runs the same rules on a leaf's
-raw cells before it builds any object.
+pass, :func:`_iter_components`, reads every order's components from one
+sweep over plain ``(lo, hi, w, mult)`` edges (``model._isotropy``) and the
+per-vertex signed weights, so the search runs the same rules on a leaf's raw
+cells before it builds any object.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ from .model import (
     Configuration,
     StructureError,
     WeightSystem,
-    _components,
     _has_edge,
-    _orders,
+    _isotropy,
     _plain_edges,
     structure_problems,
 )
@@ -242,60 +242,56 @@ def _iter_components(edges, weights):
     """The isotropy-component pass of the rule walk, on plain data.
 
     ``edges`` are ``(lo, hi, w, mult)`` tuples and ``weights[v]`` holds the
-    signed weights at vertex v in any order.  For each isotropy order k (the
-    k >= 2 dividing an edge weight, ascending), one flat pass over the
-    components of the k-divisible edges checks the regularity, index bound,
-    smallest-weight balance and mod-k congruence of each, building a
-    :class:`Violation` only when a rule fires.  The rule walk runs it on a
-    configuration; the search runs it on a leaf's cells before building any
-    object.
+    signed weights at vertex v in any order.  Each component
+    ``model._isotropy`` builds, by order k then lowest vertex, is checked
+    for regularity, index bound, smallest-weight balance and mod-k
+    congruence, and a :class:`Violation` is built only when a rule fires.
     """
-    for k in _orders({e[2] for e in edges}):
-        for vertices, within, down, kedges in _components(edges, k):
-            counts = [within[v] for v in vertices]
-            d = counts[0]
-            if counts.count(d) != len(counts):
-                yield Violation(
-                    "ComponentRegularity",
-                    vertices,
-                    detail=f"k={k} component {vertices}: divisible-weight counts "
-                    f"{tuple(counts)} are not constant",
-                )
-            else:
-                levels = [0] * (d + 1)
-                for v in vertices:
-                    levels[down[v]] += 1
-                irregular = []
-                if levels[0] != 1 or levels[d] != 1:
-                    irregular.append(f"expected unique minimum and maximum, levels {levels}")
-                for m in range(d + 1):
-                    if levels[m] == 0:
-                        irregular.append(f"no vertex at index level {m} of {d}")
-                if levels != levels[::-1]:
-                    irregular.append(f"index level counts {levels} are not symmetric under duality")
-                for text in irregular:
-                    detail = f"k={k} component {vertices}: {text}"
-                    yield Violation("ComponentRegularity", vertices, detail=detail)
-                for p, v in enumerate(vertices):
-                    if down[v] > p:
-                        yield Violation(
-                            "IndexBound",
-                            (v,),
-                            detail=f"k={k} component {vertices}: vertex {v} has index level "
-                            f"{down[v]} with only {p} lower vertices in the component",
-                        )
-                yield from _iter_balance(kedges, down, d, k, vertices)
-            base = vertices[0]
-            base_res = sorted([w % k for w in weights[base]])
-            for v in vertices[1:]:
-                res = sorted([w % k for w in weights[v]])
-                if res != base_res:
+    for k, vertices, within, down, kedges in _isotropy(edges):
+        counts = [within[v] for v in vertices]
+        d = counts[0]
+        if counts.count(d) != len(counts):
+            yield Violation(
+                "ComponentRegularity",
+                vertices,
+                detail=f"k={k} component {vertices}: divisible-weight counts "
+                f"{tuple(counts)} are not constant",
+            )
+        else:
+            levels = [0] * (d + 1)
+            for v in vertices:
+                levels[down[v]] += 1
+            irregular = []
+            if levels[0] != 1 or levels[d] != 1:
+                irregular.append(f"expected unique minimum and maximum, levels {levels}")
+            for m in range(d + 1):
+                if levels[m] == 0:
+                    irregular.append(f"no vertex at index level {m} of {d}")
+            if levels != levels[::-1]:
+                irregular.append(f"index level counts {levels} are not symmetric under duality")
+            for text in irregular:
+                detail = f"k={k} component {vertices}: {text}"
+                yield Violation("ComponentRegularity", vertices, detail=detail)
+            for p, v in enumerate(vertices):
+                if down[v] > p:
                     yield Violation(
-                        "ModK",
-                        (base, v),
-                        detail=f"weights at {base} and {v} differ mod {k}: "
-                        f"{tuple(base_res)} vs {tuple(res)}",
+                        "IndexBound",
+                        (v,),
+                        detail=f"k={k} component {vertices}: vertex {v} has index level "
+                        f"{down[v]} with only {p} lower vertices in the component",
                     )
+            yield from _iter_balance(kedges, down, d, k, vertices)
+        base = vertices[0]
+        base_res = sorted([w % k for w in weights[base]])
+        for v in vertices[1:]:
+            res = sorted([w % k for w in weights[v]])
+            if res != base_res:
+                yield Violation(
+                    "ModK",
+                    (base, v),
+                    detail=f"weights at {base} and {v} differ mod {k}: "
+                    f"{tuple(base_res)} vs {tuple(res)}",
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,9 @@ derivation (a :class:`StructureError`) is not cached.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import isqrt, prod
 
 N_POINTS = 6
@@ -242,18 +242,17 @@ def isotropy_components(c: Configuration, k: int) -> list[IsotropyComponent]:
     if k < 2:
         raise ValueError(f"isotropy order must be at least 2, got {k}")
     validate_structure(c)
-    comps = []
-    for vertices, within, down, edges in _components(_plain_edges(c), k):
-        comps.append(
-            IsotropyComponent(
-                k=k,
-                vertices=vertices,
-                within_degree=tuple(map(within.__getitem__, vertices)),
-                within_down=tuple(map(down.__getitem__, vertices)),
-                edges=tuple(WeightEdge(*e) for e in edges),
-            )
+    return [
+        IsotropyComponent(
+            k=k,
+            vertices=vertices,
+            within_degree=tuple(map(within.__getitem__, vertices)),
+            within_down=tuple(map(down.__getitem__, vertices)),
+            edges=tuple(WeightEdge(*e) for e in edges),
         )
-    return comps
+        for order, vertices, within, down, edges in _isotropy(_plain_edges(c))
+        if order == k
+    ]
 
 
 def _plain_edges(c: Configuration) -> list[tuple[int, int, int, int]]:
@@ -261,50 +260,58 @@ def _plain_edges(c: Configuration) -> list[tuple[int, int, int, int]]:
     return [(e.lo, e.hi, e.w, e.mult) for e in c.edges]
 
 
-def _components(edges, k: int) -> list[tuple]:
-    """The components of :func:`isotropy_components` over plain ``(lo, hi,
-    w, mult)`` edges, as ``(vertices, within, down, edges)`` tuples, for
-    ``k >= 2``.
-
-    ``within[v]`` and ``down[v]`` are indexed by vertex, not by position in
-    ``vertices``: the slots (total / downward) vertex ``v`` has among the
-    ``k``-divisible edges, which all lie in ``v``'s component.
+def _isotropy(edges):
+    """Every isotropy component of plain ``(lo, hi, w, mult)`` edges, as
+    ``(k, vertices, within, down, edges)``, by order k >= 2 dividing an edge
+    weight, ascending, then by lowest vertex.  One sweep over the edges
+    fills, for every order at once, the mask of the pairs its edges join,
+    ``within[v]`` and ``down[v]`` (vertex v's slots, total / downward, among
+    them, all in v's component) and the edges in input order; ``_split``
+    cuts each mask into components.
     """
-    kedges = [e for e in edges if e[2] % k == 0]
-    # label[v] is the lowest vertex joined to v so far
-    label = list(range(N_POINTS))
-    within = [0] * N_POINTS
-    down = [0] * N_POINTS
-    for lo, hi, _, m in kedges:
-        within[lo] += m
-        within[hi] += m
-        down[hi] += m
-        a, b = label[lo], label[hi]
-        if a != b:
-            if a > b:
-                a, b = b, a
-            label = [a if x == b else x for x in label]
-    # a component's label is its lowest vertex, met first in these scans
-    members: dict[int, list[int]] = {}
-    for v in range(N_POINTS):
-        if within[v]:
-            members.setdefault(label[v], []).append(v)
-    comp_edges: dict[int, list[tuple]] = {}
-    for e in kedges:
-        comp_edges.setdefault(label[e[0]], []).append(e)
-    return [(tuple(vs), within, down, comp_edges[root]) for root, vs in members.items()]
+    table: dict[int, list] = defaultdict(lambda: [0, [0] * N_POINTS, [0] * N_POINTS, []])
+    for e in edges:
+        lo, hi, w, m = e
+        for k in _divisors(w)[1:]:
+            t = table[k]
+            t[0] |= 1 << N_POINTS * lo + hi
+            t[1][lo] += m
+            t[1][hi] += m
+            t[2][hi] += m
+            t[3].append(e)
+    for k in sorted(table):
+        pairs, within, down, kedges = table[k]
+        for vertices, mask in _split(pairs):
+            yield k, vertices, within, down, [e for e in kedges if mask >> e[0] & 1]
+
+
+@cache
+def _split(pairs: int) -> tuple:
+    """The components of the graph joining lo < hi where bit ``N_POINTS *
+    lo + hi`` of ``pairs`` is set, by lowest vertex, as ``(vertices, mask)``
+    with bit v of ``mask`` set for each member v; one entry per edge set."""
+    masks = [1 << v for v in range(N_POINTS)]  # masks[v]: v's component so far
+    for lo, hi in PAIRS:
+        if pairs >> N_POINTS * lo + hi & 1:
+            joined = masks[lo] | masks[hi]
+            masks = [joined if m & joined else m for m in masks]
+    return tuple(
+        (tuple(u for u in range(N_POINTS) if m >> u & 1), m)
+        for v, m in enumerate(masks)
+        if m != 1 << v and m & -m == 1 << v
+    )
+
+
+@cache
+def _divisors(w: int) -> tuple[int, ...]:
+    """The divisors of ``w``, ascending, from the pairs (d, w // d), d <= isqrt(w)."""
+    low = [d for d in range(1, isqrt(w) + 1) if w % d == 0]
+    return tuple(low + [w // d for d in reversed(low) if d * d != w])
 
 
 def _orders(weights) -> list[int]:
-    """All k >= 2 dividing at least one of the positive ``weights``, from
-    the divisor pairs ``(d, w // d)`` with ``d <= isqrt(w)``."""
-    ks: set[int] = set()
-    for w in weights:
-        for d in range(1, isqrt(w) + 1):
-            if w % d == 0:
-                ks.update((d, w // d))
-    ks.discard(1)
-    return sorted(ks)
+    """All k >= 2 dividing at least one of the positive ``weights``."""
+    return sorted({k for w in weights for k in _divisors(w)[1:]})
 
 
 # ---------------------------------------------------------------------------

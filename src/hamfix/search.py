@@ -83,9 +83,9 @@ from .model import (
     Configuration,
     MomentProfile,
     WeightEdge,
+    _divisors,
     _has_edge,
     _is_int,
-    _orders,
     canonicalize,
     config_to_dict,
     sort_key,
@@ -214,11 +214,6 @@ def _gap_vectors(spec: SearchSpec) -> list[tuple[int, ...]]:
     return [g for g in gaps if g <= g[::-1]]
 
 
-@cache
-def _divisors_leq(n: int, bound: int) -> tuple[int, ...]:
-    return tuple(w for w in range(1, min(n, bound) + 1) if n % w == 0)
-
-
 def _gamma_targets(spec: SearchSpec, gaps: tuple[int, ...], phi: tuple[int, ...]) -> list:
     """Per-vertex weight-sum targets, one vector per feasible first-Chern multiple.
 
@@ -343,7 +338,8 @@ def _cell_plan(spec: SearchSpec, gaps: tuple[int, ...], phi: tuple[int, ...], fl
         if spec.prune_extremal and j == i + 1 and i in (0, DIM - 1):
             ws = (gaps[i],)
         elif spec.prune_divisibility:
-            ws = _divisors_leq(phi[j] - phi[i], spec.max_weight)
+            ws = _divisors(phi[j] - phi[i])
+            ws = ws[: bisect_right(ws, spec.max_weight)]
         else:
             # a weight above the width divides no gap, so no leaf holds one
             ws = tuple(range(1, min(spec.max_weight, spec.max_width) + 1))
@@ -556,9 +552,10 @@ def _pack(ws: tuple[int, ...]) -> tuple[int, int]:
     of ``word`` counts those an order k >= 2 divides, and ``mask`` covers
     the fields of the k that divide one.  A vertex sums at most DIM = 5."""
     word = mask = 0
-    for k in _orders(ws):
-        word += sum(w % k == 0 for w in ws) << 4 * (k - 2)
-        mask |= 15 << 4 * (k - 2)
+    for w in ws:
+        for k in _divisors(w)[1:]:
+            word += 1 << 4 * (k - 2)
+            mask |= 15 << 4 * (k - 2)
     return word, mask
 
 

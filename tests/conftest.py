@@ -10,7 +10,8 @@ from math import comb
 import pytest
 
 from hamfix import Configuration, SearchSpec, WeightEdge, builtin, enumerate_configurations, search
-from hamfix.constraints import _iter_components
+from hamfix.constraints import Violation, _iter_balance, _iter_components
+from hamfix.model import N_POINTS, _orders
 
 #: mutants drawn from every single-edge weight change by -2, -1, +1 or +2
 MUTANTS = 3000
@@ -125,3 +126,107 @@ def _uneven_reference(acc) -> bool:
         v.rule == "ComponentRegularity" and "divisible-weight counts" in v.detail
         for v in _iter_components(edges, weights)
     )
+
+
+def _random_cells(rng: random.Random, weights) -> tuple:
+    """The cells of one random slot-respecting leaf, ``acc[ci]`` the sorted
+    weights of cell ``CELLS[ci]``, each slot's weight drawn from
+    ``weights``: the slot counts follow a random path through
+    ``search._slots``, so every slot matrix can come up."""
+    node = search._slots(0, tuple(5 - v for v in range(6)), tuple(range(6)))
+    acc = []
+    for _ in CELLS:
+        m, _, _, node = rng.choice(node[0])
+        acc.append(tuple(sorted(rng.choice(weights) for _ in range(m))))
+    return tuple(acc)
+
+
+def _components_reference(edges, k: int) -> list[tuple]:
+    """The components of the ``k``-divisible plain ``(lo, hi, w, mult)``
+    edges as ``(vertices, within, down, edges)``, one union-find per order:
+    ``within[v]`` and ``down[v]`` are vertex v's slots (total / downward)
+    among those edges, by lowest vertex, with each component's edges in
+    input order."""
+    kedges = [e for e in edges if e[2] % k == 0]
+    # label[v] is the lowest vertex joined to v so far
+    label = list(range(N_POINTS))
+    within = [0] * N_POINTS
+    down = [0] * N_POINTS
+    for lo, hi, _, m in kedges:
+        within[lo] += m
+        within[hi] += m
+        down[hi] += m
+        a, b = label[lo], label[hi]
+        if a != b:
+            if a > b:
+                a, b = b, a
+            label = [a if x == b else x for x in label]
+    # a component's label is its lowest vertex, met first in these scans
+    members: dict[int, list[int]] = {}
+    for v in range(N_POINTS):
+        if within[v]:
+            members.setdefault(label[v], []).append(v)
+    comp_edges: dict[int, list[tuple]] = {}
+    for e in kedges:
+        comp_edges.setdefault(label[e[0]], []).append(e)
+    return [(tuple(vs), within, down, comp_edges[root]) for root, vs in members.items()]
+
+
+def _iter_components_reference(edges, weights):
+    """The rule walk's isotropy-component pass built one order at a time:
+    for each k of ``model._orders``, ascending, its own filter of the edges
+    and its own union-find (``_components_reference``), then the same
+    regularity, index bound, balance and mod-k rules with the same detail
+    text; the reference for ``constraints._iter_components``."""
+    for k in _orders({e[2] for e in edges}):
+        for vertices, within, down, kedges in _components_reference(edges, k):
+            counts = [within[v] for v in vertices]
+            d = counts[0]
+            if counts.count(d) != len(counts):
+                yield Violation(
+                    "ComponentRegularity",
+                    vertices,
+                    detail=f"k={k} component {vertices}: divisible-weight counts "
+                    f"{tuple(counts)} are not constant",
+                )
+            else:
+                levels = [0] * (d + 1)
+                for v in vertices:
+                    levels[down[v]] += 1
+                irregular = []
+                if levels[0] != 1 or levels[d] != 1:
+                    irregular.append(f"expected unique minimum and maximum, levels {levels}")
+                for m in range(d + 1):
+                    if levels[m] == 0:
+                        irregular.append(f"no vertex at index level {m} of {d}")
+                if levels != levels[::-1]:
+                    irregular.append(f"index level counts {levels} are not symmetric under duality")
+                for text in irregular:
+                    detail = f"k={k} component {vertices}: {text}"
+                    yield Violation("ComponentRegularity", vertices, detail=detail)
+                for p, v in enumerate(vertices):
+                    if down[v] > p:
+                        yield Violation(
+                            "IndexBound",
+                            (v,),
+                            detail=f"k={k} component {vertices}: vertex {v} has index level "
+                            f"{down[v]} with only {p} lower vertices in the component",
+                        )
+                yield from _iter_balance(kedges, down, d, k, vertices)
+            base = vertices[0]
+            base_res = sorted([w % k for w in weights[base]])
+            for v in vertices[1:]:
+                res = sorted([w % k for w in weights[v]])
+                if res != base_res:
+                    yield Violation(
+                        "ModK",
+                        (base, v),
+                        detail=f"weights at {base} and {v} differ mod {k}: "
+                        f"{tuple(base_res)} vs {tuple(res)}",
+                    )
+
+
+def _component_pass_sides(edges, weights) -> tuple[list, list]:
+    """The sorted violations of ``constraints._iter_components`` and of
+    ``_iter_components_reference`` on the same plain edges and weights."""
+    return sorted(_iter_components(edges, weights)), sorted(_iter_components_reference(edges, weights))

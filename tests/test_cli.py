@@ -183,6 +183,25 @@ def test_enumerate_huge_max_weight_with_every_floor_rule_off_hits_node_limit():
     assert proc.stderr == "error: node limit 1000 exceeded\n"
 
 
+def test_enumerate_huge_gap_lists_its_divisors_fast():
+    # a cell's allowed weights are its gap's divisors, found from the pairs
+    # (d, gap // d) with d up to the square root of the gap, so a gap of 10^9
+    # costs about 31,623 trial divisions, not 10^9
+    argv = ["enumerate", "--max-weight", "1000000000", "--gaps", "1,1,1,1,1000000000"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hamfix.cli", *argv, "--node-limit", "1000", "--threads", "1"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert "Traceback" not in proc.stderr
+    if proc.returncode:
+        assert (proc.returncode, proc.stderr) == (1, "error: node limit 1000 exceeded\n")
+    else:
+        assert proc.stdout.startswith("configurations found: 0\n")
+        assert proc.stderr.startswith("wall time:")
+
+
 def test_edge_weight_bound(tmp_path, capsys):
     # cp5 with last gap g has largest weight g + 4: the bound itself is
     # accepted, one more is a parse error wherever a configuration is built

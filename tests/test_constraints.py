@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -14,6 +15,7 @@ import pytest
 from hamfix import (
     Configuration,
     MomentProfile,
+    SearchSpec,
     Violation,
     WeightEdge,
     builtin,
@@ -23,6 +25,7 @@ from hamfix import (
     compute_c1,
     derive_weight_system,
     flip,
+    search,
 )
 from hamfix.constraints import (
     C1_MAX,
@@ -31,7 +34,9 @@ from hamfix.constraints import (
     _iter_gamma_relation,
     is_valid,
 )
-from hamfix.model import DIM, N_POINTS, PAIRS
+from hamfix.model import DIM, N_POINTS, PAIRS, _plain_edges
+
+from conftest import _component_pass_sides, _random_cells, _screened_leaves
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +278,30 @@ def test_regularity_asymmetric_levels_reported_once():
         "k=2 component (0, 1, 2, 3, 4, 5): index level counts [1, 2, 1, 0, 2] "
         "are not symmetric under duality"
     ]
+
+
+
+def test_component_pass_matches_per_order_reference(mutant_corpus):
+    # the one-sweep isotropy components against the per-order pass it
+    # replaced, sorted violations with their detail text: on the corpus, on
+    # slot-respecting draws whose weights share many divisors (merged into a
+    # configuration and in the search's leaf form), and on the leaves of a
+    # real walk that reach the component screens
+    rng = random.Random(20261020)
+    profile = MomentProfile(tuple(range(N_POINTS)))
+    inputs = [(_plain_edges(c), c.weight_system.weights) for c in mutant_corpus]
+    for _ in range(600):
+        edges, weights = search._leaf_plain(_random_cells(rng, (6, 12, 30, 60)))
+        inputs.append((edges, weights))
+        c = Configuration(profile, tuple(WeightEdge(*e) for e in edges))
+        inputs.append((_plain_edges(c), c.weight_system.weights))
+    inputs += [search._leaf_plain(acc) for acc in _screened_leaves(SearchSpec(5, 10))]
+    rules = collections.Counter()
+    for edges, weights in inputs:
+        got, expected = _component_pass_sides(edges, weights)
+        assert got == expected, (edges, weights)
+        rules.update({v.rule for v in got} or {None})
+    assert set(rules) == {"ComponentRegularity", "IndexBound", "SmallestWeightBalance", "ModK", None}
 
 
 # -- extremal edges ----------------------------------------------------------
