@@ -8,8 +8,8 @@ its JSON document).  ``verify`` rejects a flag its theorem does not read.
 ``check --effective`` and ``--no-effective`` set the configuration's
 ``effective`` field before checking it, and together they are rejected.
 Exit codes: 0 success/PASS, 1 violations or a failed verification, 2 usage
-or parse errors (an edge weight above ``MAX_EDGE_WEIGHT`` among them), each
-reported as one ``error:`` line on stderr.
+or parse errors (an edge weight or search width above ``MAX_EDGE_WEIGHT``
+among them), each reported as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .examples import (
     project_gkm,
 )
 from .model import (
+    MAX_EDGE_WEIGHT,
     SchemaError,
     StructureError,
     canonicalize,
@@ -50,10 +51,6 @@ from .search import (
 )
 
 _USAGE_EXIT = 2
-
-#: the largest edge weight the CLI accepts: a weight's isotropy orders come
-#: from trial division up to its square root, a million steps at this bound
-MAX_EDGE_WEIGHT = 10**12
 
 
 def _emit(doc: dict, human_lines: list[str], as_json: bool) -> None:

@@ -17,17 +17,18 @@ One ordered walk over the rules yields the violations:
 :func:`check_all` collects all of them into a report, and :func:`is_valid`
 stops at the first one for the enumeration hot path.  Its isotropy-component
 pass, :func:`_iter_components`, reads every order's components from one
-sweep over plain ``(lo, hi, w, mult)`` edges (``model._isotropy``) and the
-per-vertex signed weights, so the search runs the same rules on a leaf's raw
-cells before it builds any object.
+sweep over ``(lo, hi, w, mult)`` edges (``model._isotropy``) and the
+per-vertex signed weights: a configuration's ``WeightEdge`` tuples as they
+are, or a leaf's raw cells, which the search checks before it builds any
+object.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import attrgetter
 
 from .model import (
     DIM,
@@ -38,7 +39,6 @@ from .model import (
     WeightSystem,
     _has_edge,
     _isotropy,
-    _plain_edges,
     structure_problems,
 )
 
@@ -46,18 +46,19 @@ C1_MIN = 1
 C1_MAX = N_POINTS  # the multiple of the symplectic generator is between 1 and n+1
 
 
-@dataclass(frozen=True, order=True)
-class Violation:
-    """One failed predicate, located at the vertices/edges involved."""
+class Violation(namedtuple("Violation", "rule vertices edges detail", defaults=((), (), ""))):
+    """One failed predicate, located at the vertices and ``(lo, hi, w)``
+    edges involved: a named tuple, so it sorts by its fields, whose
+    ``__new__`` (called on unpickling too) checks that it names one."""
 
-    rule: str
-    vertices: tuple[int, ...] = ()
-    edges: tuple[tuple[int, int, int], ...] = ()
-    detail: str = ""
+    __slots__ = ()
+    # namedtuple's own _make, which _replace calls, would skip the check
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if not self.vertices and not self.edges:
+    def __new__(cls, rule: str, vertices=(), edges=(), detail: str = "") -> "Violation":
+        if not vertices and not edges:
             raise ValueError("a violation must name at least one vertex or edge")
+        return super().__new__(cls, rule, vertices, edges, detail)
 
     def to_dict(self) -> dict:
         return {
@@ -69,8 +70,6 @@ class Violation:
             "detail": self.detail,
         }
 
-
-_ORDER = attrgetter("rule", "vertices", "edges", "detail")
 
 #: every vertex, each its own global index level
 _VERTICES = tuple(range(N_POINTS))
@@ -130,10 +129,10 @@ def _iter_divisibility(c: Configuration, ws: WeightSystem):
 def _iter_balance(edges, level, dim: int, k: int | None, vertices):
     """Smallest-weight pairing balance across index levels.
 
-    With w the smallest weight among the plain ``(lo, hi, w, mult)``
-    ``edges``, the number of ``-w`` slots at points of index level m+1 must
-    equal the number of ``+w`` slots at level m.  ``level[v]`` is vertex
-    v's level in ``0..dim``.  ``edges`` is never empty: the global call
+    With w the smallest weight among the ``(lo, hi, w, mult)`` ``edges``,
+    the number of ``-w`` slots at points of index level m+1 must equal the
+    number of ``+w`` slots at level m.  ``level[v]`` is vertex v's level in
+    ``0..dim``.  ``edges`` is never empty: the global call
     follows the structure check, and every isotropy component has an edge.
     """
     wmin = min([e[2] for e in edges])
@@ -239,10 +238,11 @@ def _iter_effectiveness(c: Configuration):
 
 
 def _iter_components(edges, weights):
-    """The isotropy-component pass of the rule walk, on plain data.
+    """The isotropy-component pass of the rule walk.
 
-    ``edges`` are ``(lo, hi, w, mult)`` tuples and ``weights[v]`` holds the
-    signed weights at vertex v in any order.  Each component
+    ``edges`` are ``(lo, hi, w, mult)`` tuples, a configuration's
+    ``WeightEdge``s or a search leaf's, and ``weights[v]`` holds the signed
+    weights at vertex v in any order.  Each component
     ``model._isotropy`` builds, by order k then lowest vertex, is checked
     for regularity, index bound, smallest-weight balance and mod-k
     congruence, and a :class:`Violation` is built only when a rule fires.
@@ -302,7 +302,7 @@ def _walk(c: Configuration):
     """Yield every violation of ``c``, cheap and lethal rules first.
 
     The order is structure, extremal edges, c1, divisibility, global
-    balance, then the isotropy-component pass over the plain edges, then
+    balance, then the isotropy-component pass over the edges, then
     the gamma relation and, when ``c.effective`` is set, effectiveness
     (the gcd of the edge weights is 1).  The weight system is
     ``c.weight_system``, whose ``StructureError`` stands for the Structure
@@ -321,9 +321,8 @@ def _walk(c: Configuration):
         yield c1
         c1 = None
     yield from _iter_divisibility(c, ws)
-    edges = _plain_edges(c)
-    yield from _iter_balance(edges, _VERTICES, DIM, None, _VERTICES)
-    yield from _iter_components(edges, ws.weights)
+    yield from _iter_balance(c.edges, _VERTICES, DIM, None, _VERTICES)
+    yield from _iter_components(c.edges, ws.weights)
     if c1 is not None:
         yield from _iter_gamma_relation(c, ws, c1)
     if c.effective:
@@ -356,8 +355,7 @@ def check_all(c: Configuration) -> CheckReport:
         except StopIteration as done:
             c1 = done.value
             break
-    # the dataclass order, compared as plain tuples
-    ordered = tuple(sorted(violations, key=_ORDER))
+    ordered = tuple(sorted(violations))
     return CheckReport(passed=not ordered, c1=c1, violations=ordered)
 
 

@@ -13,7 +13,8 @@ Conventions baked into the types:
   upward weight slots;
 * the moment map is normalized so the minimum value is ``0``;
 * an edge ``(lo, hi, w, mult)`` contributes ``mult`` copies of ``+w`` at
-  ``lo`` and ``mult`` copies of ``-w`` at ``hi``.
+  ``lo`` and ``mult`` copies of ``-w`` at ``hi``; a :class:`WeightEdge` is
+  that named tuple, the one edge format every rule and the search read.
 
 Constructors validate only the *shape* of the data (index ranges, positive
 weights, increasing moment values).  Slot-count structure is checked by
@@ -29,7 +30,7 @@ derivation (a :class:`StructureError`) is not cached.
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import isqrt, prod
@@ -51,22 +52,22 @@ class SchemaError(ValueError):
     """A JSON document does not match the configuration schema."""
 
 
-@dataclass(frozen=True, order=True)
-class WeightEdge:
-    """``mult`` parallel weight-``w`` edges from vertex ``lo`` up to ``hi``."""
+class WeightEdge(namedtuple("WeightEdge", "lo hi w mult", defaults=(1,))):
+    """``mult`` parallel weight-``w`` edges from vertex ``lo`` up to ``hi``,
+    a named tuple whose ``__new__`` (called on unpickling too) checks them."""
 
-    lo: int
-    hi: int
-    w: int
-    mult: int = 1
+    __slots__ = ()
+    # namedtuple's own _make, which _replace calls, would skip the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.lo < self.hi < N_POINTS):
-            raise ValueError(f"edge endpoints out of range: ({self.lo}, {self.hi})")
-        if self.w < 1:
-            raise ValueError(f"edge weight must be positive, got {self.w}")
-        if self.mult < 1:
-            raise ValueError(f"edge multiplicity must be positive, got {self.mult}")
+    def __new__(cls, lo: int, hi: int, w: int, mult: int = 1) -> "WeightEdge":
+        if not (0 <= lo < hi < N_POINTS):
+            raise ValueError(f"edge endpoints out of range: ({lo}, {hi})")
+        if w < 1:
+            raise ValueError(f"edge weight must be positive, got {w}")
+        if mult < 1:
+            raise ValueError(f"edge multiplicity must be positive, got {mult}")
+        return super().__new__(cls, lo, hi, w, mult)
 
 
 @dataclass(frozen=True)
@@ -248,20 +249,15 @@ def isotropy_components(c: Configuration, k: int) -> list[IsotropyComponent]:
             vertices=vertices,
             within_degree=tuple(map(within.__getitem__, vertices)),
             within_down=tuple(map(down.__getitem__, vertices)),
-            edges=tuple(WeightEdge(*e) for e in edges),
+            edges=tuple(edges),
         )
-        for order, vertices, within, down, edges in _isotropy(_plain_edges(c))
+        for order, vertices, within, down, edges in _isotropy(c.edges)
         if order == k
     ]
 
 
-def _plain_edges(c: Configuration) -> list[tuple[int, int, int, int]]:
-    """``c.edges`` as plain ``(lo, hi, w, mult)`` tuples, in the same order."""
-    return [(e.lo, e.hi, e.w, e.mult) for e in c.edges]
-
-
 def _isotropy(edges):
-    """Every isotropy component of plain ``(lo, hi, w, mult)`` edges, as
+    """Every isotropy component of ``(lo, hi, w, mult)`` edges, as
     ``(k, vertices, within, down, edges)``, by order k >= 2 dividing an edge
     weight, ascending, then by lowest vertex.  One sweep over the edges
     fills, for every order at once, the mask of the pairs its edges join,
@@ -302,16 +298,16 @@ def _split(pairs: int) -> tuple:
     )
 
 
+#: the largest edge weight the CLI accepts and the widest ``SearchSpec``: ``_divisors``
+#: trial-divides a weight or cell gap up to its square root, a million steps here
+MAX_EDGE_WEIGHT = 10**12
+
+
 @cache
 def _divisors(w: int) -> tuple[int, ...]:
     """The divisors of ``w``, ascending, from the pairs (d, w // d), d <= isqrt(w)."""
     low = [d for d in range(1, isqrt(w) + 1) if w % d == 0]
     return tuple(low + [w // d for d in reversed(low) if d * d != w])
-
-
-def _orders(weights) -> list[int]:
-    """All k >= 2 dividing at least one of the positive ``weights``."""
-    return sorted({k for w in weights for k in _divisors(w)[1:]})
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +325,7 @@ def flip(c: Configuration) -> Configuration:
 
 
 def sort_key(c: Configuration):
-    return (c.profile.values, tuple(_plain_edges(c)))
+    return (c.profile.values, c.edges)
 
 
 def canonicalize(c: Configuration) -> Configuration:

@@ -78,6 +78,7 @@ from . import cohomology
 from .constraints import C1_MAX, C1_MIN, _iter_components, compute_c1, is_valid
 from .model import (
     DIM,
+    MAX_EDGE_WEIGHT,
     N_POINTS,
     PAIRS,
     Configuration,
@@ -133,6 +134,8 @@ class SearchSpec:
             raise SpecError("max_weight must be at least 1")
         if self.max_width < DIM:
             raise SpecError(f"max_width must be at least {DIM}")
+        if self.max_width > MAX_EDGE_WEIGHT:  # every cell gap is at most the width
+            raise SpecError(f"max_width {self.max_width} exceeds {MAX_EDGE_WEIGHT}")
         if self.c1 is not None and not C1_MIN <= self.c1 <= C1_MAX:
             raise SpecError(f"c1 must be in [{C1_MIN}, {C1_MAX}], got {self.c1}")
         if self.node_limit is not None and self.node_limit < 0:
@@ -572,10 +575,11 @@ def _uneven(acc) -> bool:
 
 
 def _leaf_plain(acc) -> tuple[list, list]:
-    """A leaf's cells, ``acc[ci]`` the weights of ``PAIRS[ci]``, as plain
+    """A leaf's cells, ``acc[ci]`` the weights of ``PAIRS[ci]``, as
     ``(lo, hi, w, 1)`` edges, one per slot, and per-vertex signed weights:
-    the form ``_iter_components`` reads, which only sums multiplicities
-    (``Configuration`` merges equal weights for the leaves that get one)."""
+    ``_iter_components`` reads them as it reads ``WeightEdge``s and only sums
+    multiplicities (``Configuration`` merges equal weights for the leaves
+    that get one)."""
     edges = []
     signed: list[list[int]] = [[] for _ in range(N_POINTS)]
     for (i, j), weights in zip(PAIRS, acc):

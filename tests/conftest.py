@@ -11,7 +11,7 @@ import pytest
 
 from hamfix import Configuration, SearchSpec, WeightEdge, builtin, enumerate_configurations, search
 from hamfix.constraints import Violation, _iter_balance, _iter_components
-from hamfix.model import N_POINTS, _orders
+from hamfix.model import N_POINTS
 
 #: mutants drawn from every single-edge weight change by -2, -1, +1 or +2
 MUTANTS = 3000
@@ -95,9 +95,10 @@ def closed_form_leaves():
     return count
 
 
-def _screened_leaves(spec: SearchSpec) -> list:
-    """The cells of every leaf of ``spec``'s one-worker walk that reaches
-    the packed divisible-weight screen ``search._uneven``, in walk order.
+def _screened_walk(spec: SearchSpec) -> tuple:
+    """``spec``'s one-worker search result and the cells of every leaf of
+    its walk that reaches the packed divisible-weight screen
+    ``search._uneven``, in walk order.
 
     The walk runs in a fresh thread, so its stack depth does not depend on
     the caller's: CPython 3.11 maps a new frame-stack chunk whenever a call
@@ -113,8 +114,25 @@ def _screened_leaves(spec: SearchSpec) -> list:
 
     with pytest.MonkeyPatch.context() as mp, ThreadPoolExecutor(1) as pool:
         mp.setattr(search, "_uneven", recording)
-        pool.submit(enumerate_configurations, spec, 1).result()
-    return leaves
+        result = pool.submit(enumerate_configurations, spec, 1).result()
+    return result, leaves
+
+
+@pytest.fixture(scope="session")
+def all_off_walk():
+    """``_screened_walk`` of the (2, 6) search with every pruning rule off,
+    run once: about 30 million nodes, which the oracle test and the packed
+    screen's differential test both read."""
+    return _screened_walk(
+        SearchSpec(
+            2,
+            6,
+            prune_divisibility=False,
+            prune_extremal=False,
+            prune_gamma=False,
+            prune_balance=False,
+        )
+    )
 
 
 def _uneven_reference(acc) -> bool:
@@ -141,9 +159,15 @@ def _random_cells(rng: random.Random, weights) -> tuple:
     return tuple(acc)
 
 
+def _orders_reference(weights) -> list[int]:
+    """Every k from 2 to each weight, tried in turn: the isotropy orders of
+    the positive ``weights``, without ``model._divisors``."""
+    return sorted({k for w in weights for k in range(2, w + 1) if w % k == 0})
+
+
 def _components_reference(edges, k: int) -> list[tuple]:
-    """The components of the ``k``-divisible plain ``(lo, hi, w, mult)``
-    edges as ``(vertices, within, down, edges)``, one union-find per order:
+    """The components of the ``k``-divisible ``(lo, hi, w, mult)`` edges as
+    ``(vertices, within, down, edges)``, one union-find per order:
     ``within[v]`` and ``down[v]`` are vertex v's slots (total / downward)
     among those edges, by lowest vertex, with each component's edges in
     input order."""
@@ -174,11 +198,11 @@ def _components_reference(edges, k: int) -> list[tuple]:
 
 def _iter_components_reference(edges, weights):
     """The rule walk's isotropy-component pass built one order at a time:
-    for each k of ``model._orders``, ascending, its own filter of the edges
+    for each k of ``_orders_reference``, ascending, its own filter of the edges
     and its own union-find (``_components_reference``), then the same
     regularity, index bound, balance and mod-k rules with the same detail
     text; the reference for ``constraints._iter_components``."""
-    for k in _orders({e[2] for e in edges}):
+    for k in _orders_reference({e[2] for e in edges}):
         for vertices, within, down, kedges in _components_reference(edges, k):
             counts = [within[v] for v in vertices]
             d = counts[0]
@@ -228,5 +252,5 @@ def _iter_components_reference(edges, weights):
 
 def _component_pass_sides(edges, weights) -> tuple[list, list]:
     """The sorted violations of ``constraints._iter_components`` and of
-    ``_iter_components_reference`` on the same plain edges and weights."""
+    ``_iter_components_reference`` on the same edges and weights."""
     return sorted(_iter_components(edges, weights)), sorted(_iter_components_reference(edges, weights))

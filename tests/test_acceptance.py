@@ -192,17 +192,16 @@ def test_criterion_09_gkm_projection():
     _ok(9, "torus projection along (1,2) reproduces the builtin configuration")
 
 
-def test_criterion_10i_oracle_equivalence(closed_form_leaves):
+def test_criterion_10i_oracle_equivalence(closed_form_leaves, all_off_walk):
     pruned = enumerate_configurations(SearchSpec(2, 6))
-    brute = enumerate_configurations(
-        SearchSpec(
-            2,
-            6,
-            prune_divisibility=False,
-            prune_extremal=False,
-            prune_gamma=False,
-            prune_balance=False,
-        )
+    brute = all_off_walk[0]
+    assert brute.spec == SearchSpec(
+        2,
+        6,
+        prune_divisibility=False,
+        prune_extremal=False,
+        prune_gamma=False,
+        prune_balance=False,
     )
     assert pruned.configurations == brute.configurations
     # both pools are empty, so the brute force's leaves are also counted

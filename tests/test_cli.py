@@ -202,6 +202,35 @@ def test_enumerate_huge_gap_lists_its_divisors_fast():
         assert proc.stderr.startswith("wall time:")
 
 
+def test_enumerate_width_bound(capsys):
+    # every cell gap is at most the width, so bounding the width, a derived
+    # one included, by MAX_EDGE_WEIGHT bounds every divisor scan; the
+    # children's address space is capped so that a regression that builds
+    # the gap vectors of such a width fails fast instead
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    huge = str(10**16)
+    for argv, width in (
+        (["--max-weight", huge, "--gaps", f"1,1,1,1,{huge}", "--node-limit", "1000"], 10**17),
+        (["--max-weight", str(10**11 + 1)], MAX_EDGE_WEIGHT + 10),
+        (["--max-weight", "1", "--max-width", str(MAX_EDGE_WEIGHT + 1)], MAX_EDGE_WEIGHT + 1),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hamfix.cli", "enumerate", *argv, "--threads", "1"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            preexec_fn=cap_memory,
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), argv
+        assert proc.stderr == f"error: max_width {width} exceeds {MAX_EDGE_WEIGHT}\n", argv
+    # the bound itself is accepted
+    argv = ["enumerate", "--max-weight", "1", "--max-width", str(MAX_EDGE_WEIGHT)]
+    assert main([*argv, "--gaps", "1,1,1,1,1", "--threads", "1"]) == 0
+    assert capsys.readouterr().out.startswith("configurations found: 0\n")
+
+
 def test_edge_weight_bound(tmp_path, capsys):
     # cp5 with last gap g has largest weight g + 4: the bound itself is
     # accepted, one more is a parse error wherever a configuration is built

@@ -6,9 +6,11 @@ import collections
 import dataclasses
 import hashlib
 import json
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
+from operator import attrgetter
 
 import pytest
 
@@ -32,11 +34,12 @@ from hamfix.constraints import (
     C1_MIN,
     _iter_divisibility,
     _iter_gamma_relation,
+    _walk,
     is_valid,
 )
-from hamfix.model import DIM, N_POINTS, PAIRS, _plain_edges
+from hamfix.model import DIM, N_POINTS, PAIRS
 
-from conftest import _component_pass_sides, _random_cells, _screened_leaves
+from conftest import _component_pass_sides, _random_cells, _screened_walk
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +69,29 @@ def violations(c, *rules):
 def test_violation_requires_location():
     with pytest.raises(ValueError):
         Violation("ModK")
+    # unpickling calls __new__ too, so a pickle cannot carry one past the check
+    smuggled = pickle.dumps(tuple.__new__(Violation, ("ModK", (), (), "")))
+    with pytest.raises(ValueError):
+        pickle.loads(smuggled)
+    v = Violation("Divisibility", (0, 1), ((0, 1, 2),), "weight 2 does not divide moment gap 1")
+    assert pickle.loads(pickle.dumps(v)) == v
+    with pytest.raises(ValueError):
+        v._replace(vertices=(), edges=())
+
+
+def test_violation_is_its_field_tuple(mutant_corpus):
+    v = Violation("ModK", (0, 5), detail="d")
+    assert v == ("ModK", (0, 5), (), "d") and hash(v) == hash(("ModK", (0, 5), (), "d"))
+    assert not hasattr(v, "__dict__")
+    # the report's order is the order of the old key, the fields in turn
+    old_key = attrgetter("rule", "vertices", "edges", "detail")
+    compared = 0
+    for c in mutant_corpus:
+        walked = list(_walk(c))
+        assert check_all(c).violations == tuple(sorted(walked, key=old_key)), c.label
+        assert sorted(walked) == sorted(map(tuple, walked))
+        compared += len(walked) > 1
+    assert compared > 1000, compared
 
 
 # -- divisibility ------------------------------------------------------------
@@ -289,13 +315,13 @@ def test_component_pass_matches_per_order_reference(mutant_corpus):
     # real walk that reach the component screens
     rng = random.Random(20261020)
     profile = MomentProfile(tuple(range(N_POINTS)))
-    inputs = [(_plain_edges(c), c.weight_system.weights) for c in mutant_corpus]
+    inputs = [(c.edges, c.weight_system.weights) for c in mutant_corpus]
     for _ in range(600):
         edges, weights = search._leaf_plain(_random_cells(rng, (6, 12, 30, 60)))
         inputs.append((edges, weights))
         c = Configuration(profile, tuple(WeightEdge(*e) for e in edges))
-        inputs.append((_plain_edges(c), c.weight_system.weights))
-    inputs += [search._leaf_plain(acc) for acc in _screened_leaves(SearchSpec(5, 10))]
+        inputs.append((c.edges, c.weight_system.weights))
+    inputs += [search._leaf_plain(acc) for acc in _screened_walk(SearchSpec(5, 10))[1]]
     rules = collections.Counter()
     for edges, weights in inputs:
         got, expected = _component_pass_sides(edges, weights)

@@ -31,7 +31,9 @@ from hamfix import (
 )
 from hamfix import model
 from hamfix.constraints import is_valid
-from hamfix.model import _orders, slot_counts, sort_key, structure_problems
+from hamfix.model import _divisors, _isotropy, slot_counts, sort_key, structure_problems
+
+from conftest import _orders_reference
 
 
 @pytest.fixture(scope="module")
@@ -67,14 +69,41 @@ def test_moment_profile_validation():
 
 
 def test_weight_edge_validation():
+    # the process pool pickles configurations, and unpickling calls __new__,
+    # so a pickle cannot carry a bad edge past the checks either
+    for fields in ((3, 3, 1, 1), (2, 1, 1, 1), (0, 6, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0)):
+        with pytest.raises(ValueError):
+            WeightEdge(*fields)
+        smuggled = pickle.dumps(tuple.__new__(WeightEdge, fields))
+        with pytest.raises(ValueError):
+            pickle.loads(smuggled)
+    good = WeightEdge(0, 1, 2, 3)
+    assert pickle.loads(pickle.dumps(good)) == good
     with pytest.raises(ValueError):
-        WeightEdge(3, 3, 1)
-    with pytest.raises(ValueError):
-        WeightEdge(2, 1, 1)
-    with pytest.raises(ValueError):
-        WeightEdge(0, 1, 0)
-    with pytest.raises(ValueError):
-        WeightEdge(0, 1, 1, 0)
+        good._replace(w=0)
+
+
+def test_weight_edge_is_its_field_tuple():
+    # a named tuple: equal to, hashed and sorted as (lo, hi, w, mult), with
+    # mult 1 by default and no per-edge __dict__
+    e = WeightEdge(1, 4, 3)
+    assert e == (1, 4, 3, 1) and hash(e) == hash((1, 4, 3, 1))
+    assert (e.lo, e.hi, e.w, e.mult) == tuple(e)
+    assert not hasattr(e, "__dict__")
+    rng = random.Random(20261022)
+    fields = [
+        (lo, rng.randint(lo + 1, 5), rng.randint(1, 4), rng.randint(1, 3))
+        for lo in (0, 1, 2, 3, 4) * 40
+    ]
+    edges = [WeightEdge(*f) for f in fields]
+    assert [tuple(e) for e in sorted(edges)] == sorted(fields)
+    assert len(set(edges) | set(fields)) == len(set(fields))
+
+
+def test_sort_key_is_moment_values_then_edges(fixtures, mutant_corpus):
+    for c in [*fixtures, *mutant_corpus[::50]]:
+        assert sort_key(c) == (c.profile.values, c.edges)
+        assert sort_key(c) == (c.profile.values, tuple((e.lo, e.hi, e.w, e.mult) for e in c.edges))
 
 
 def test_parallel_edges_merge():
@@ -236,22 +265,16 @@ def test_canonicalize_idempotent(fixtures):
 
 
 def test_isotropy_orders(o):
-    assert _orders({e.w for e in o.edges}) == [2, 3, 4, 5]
-
-
-def _orders_reference(weights):
-    """Every k from 2 to each weight, tried in turn."""
-    return sorted({k for w in weights for k in range(2, w + 1) if w % k == 0})
+    assert sorted({k for k, *_ in _isotropy(o.edges)}) == [2, 3, 4, 5]
 
 
 def test_isotropy_orders_match_linear_scan():
-    assert all(_orders([w]) == _orders_reference([w]) for w in range(1, 2001))
-    rng = random.Random(20261019)
-    for _ in range(2000):
-        weights = {rng.randint(1, 300) for _ in range(rng.randint(1, 8))}
-        assert _orders(weights) == _orders_reference(weights), weights
-    assert _orders([]) == []
-    assert _orders([1_000_003]) == [1_000_003]  # a prime far past the scanned range
+    # model._divisors, the one divisor routine of _isotropy, search._pack
+    # and search._cell_plan, against trial division by every k up to w
+    for w in range(1, 2001):
+        assert _divisors(w) == (1, *_orders_reference([w])), w
+    # a prime far past the scanned range
+    assert _divisors(1_000_003) == (1, *_orders_reference([1_000_003])) == (1, 1_000_003)
 
 
 def _isotropy_components_reference(c, k):
@@ -305,7 +328,7 @@ def test_isotropy_components_match_reference(mutant_corpus):
     # for every isotropy order of the builtins and their mutants
     checked = 0
     for c in mutant_corpus:
-        orders = _orders({e.w for e in c.edges})
+        orders = sorted({k for k, *_ in _isotropy(c.edges)})
         assert orders == [
             k for k in range(2, c.max_weight() + 1) if any(e.w % k == 0 for e in c.edges)
         ], c.label

@@ -45,7 +45,7 @@ from hamfix.model import (
 )
 from hamfix.search import SearchStats, _gap_vectors, o_weight_system
 
-from conftest import CELLS, _screened_leaves, _slot_matrix_sum, _uneven_reference
+from conftest import CELLS, _screened_walk, _slot_matrix_sum, _uneven_reference
 
 O_WS = (
     (1, 2, 3, 4, 5),
@@ -225,18 +225,15 @@ def _random_fill(rng, maxw):
     return acc
 
 
-def test_packed_screen_matches_component_pass():
+def test_packed_screen_matches_component_pass(all_off_walk):
     # the packed screen rejects a leaf exactly when the component pass finds
     # a component whose divisible-weight counts are not constant: on every
     # leaf that reaches it at (5,10), (4,10) and in the all-off (2,6) walk,
     # and on seeded random slot-respecting fills with weights up to 12
-    all_off = SearchSpec(
-        2, 6, prune_divisibility=False, prune_extremal=False, prune_gamma=False, prune_balance=False
-    )
     sources = {
-        "(5,10)": _screened_leaves(SearchSpec(5, 10)),
-        "(4,10)": _screened_leaves(SearchSpec(4, 10)),
-        "all-off (2,6)": _screened_leaves(all_off),
+        "(5,10)": _screened_walk(SearchSpec(5, 10))[1],
+        "(4,10)": _screened_walk(SearchSpec(4, 10))[1],
+        "all-off (2,6)": all_off_walk[1],
     }
     rng = random.Random(20261020)
     sources["random"] = [_random_fill(rng, rng.randint(1, 12)) for _ in range(20000)]
