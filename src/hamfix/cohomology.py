@@ -9,8 +9,11 @@ rounding noise.  Classes hold ``fractions.Fraction`` coefficients; the
 Chern expansion runs in integers, with the basis scaled by ``a_5`` (every
 ``a_i`` divides it, by duality).  A coefficient that does not divide out is
 kept as an exact fraction, so the row is still checked at every vertex and
-raises the error it owes.  Every function here that takes a configuration
-reads its one cached weight system, ``Configuration.weight_system``.
+raises the error it owes.  ``_sigmas`` is the one expansion of a vertex's
+elementary symmetric sums: every Chern restriction sigma_m(weights at i) is
+read from one run of its product recurrence.  Every function here that
+takes a configuration reads its one cached weight system,
+``Configuration.weight_system``.
 """
 
 from __future__ import annotations
@@ -149,13 +152,19 @@ def _scaled_basis(c: Configuration, rp: RingPresentation) -> list[list[int]]:
     return rows
 
 
-def elementary_symmetric(values, m: int) -> int:
-    """sigma_m of an integer multiset, by the product recurrence."""
+def _sigmas(values, m: int = DIM) -> list[int]:
+    """sigma_0..sigma_m of an integer multiset, from one run of the product
+    recurrence prod (1 + v x)."""
     coeffs = [1] + [0] * m
     for v in values:
-        for d in range(min(m, len(coeffs) - 1), 0, -1):
+        for d in range(m, 0, -1):
             coeffs[d] += v * coeffs[d - 1]
-    return coeffs[m]
+    return coeffs
+
+
+def elementary_symmetric(values, m: int) -> int:
+    """sigma_m of an integer multiset."""
+    return _sigmas(values, m)[m]
 
 
 def chern_restrictions(ws: WeightSystem, m: int) -> EquivariantClass:
@@ -170,12 +179,14 @@ def chern_restrictions(ws: WeightSystem, m: int) -> EquivariantClass:
 
 def total_chern(c: Configuration) -> ChernReport:
     """Expand every equivariant Chern class; the diagonal gives the ordinary ones."""
-    return _total_chern(c, ring_presentation(c))
+    rp = ring_presentation(c)
+    return _total_chern(c, rp, [_sigmas(w) for w in c.weight_system.weights])
 
 
-def _total_chern(c: Configuration, rp: RingPresentation) -> ChernReport:
+def _total_chern(c: Configuration, rp: RingPresentation, sigmas) -> ChernReport:
     """Each Chern class c_m = sum_i d_{m,i} t^(m-i) basis_i, in integers
-    scaled by ``a_5``.
+    scaled by ``a_5``; ``sigmas[p][m]`` is c_m's restriction to vertex p,
+    sigma_m of its weights (``_sigmas``).
 
     The d_{m,i} are solved triangularly from the restrictions at vertices
     0..m; one that does not divide out is kept as an exact ``Fraction``, so
@@ -183,12 +194,11 @@ def _total_chern(c: Configuration, rp: RingPresentation) -> ChernReport:
     vertices (ConsistencyError on a mismatch) and only after that for
     integrality (IntegralityError).
     """
-    ws = c.weight_system
     a5 = rp.a[-1]
     basis = _scaled_basis(c, rp)
     rows = []
     for m in range(1, DIM + 1):
-        x = [a5 * elementary_symmetric(w, m) for w in ws.weights]
+        x = [a5 * s[m] for s in sigmas]
         d: list[int | Fraction] = []
         for p in range(N_POINTS):
             acc = sum([d[i] * basis[i][p] for i in range(min(p, m + 1))])
@@ -230,12 +240,19 @@ def localize_integral(x: EquivariantClass, ws: WeightSystem) -> Fraction:
 
 
 def cohomology_report(c: Configuration) -> dict:
-    """Ring, Chern and localization summary in the report JSON shape."""
+    """Ring, Chern and localization summary in the report JSON shape.
+
+    The Euler integral localizes c_5, whose restriction sigma_5 at each
+    vertex is the product Lambda_i of its weights, so it is
+    sum_i Lambda_i / Lambda_i = 6 whenever the ring and Chern checks pass:
+    a sanity read-out, not a test.
+    """
     ws = c.weight_system
     rp = ring_presentation(c)
-    chern = _total_chern(c, rp)
+    sigmas = [_sigmas(w) for w in ws.weights]
+    chern = _total_chern(c, rp, sigmas)
     omega5 = localize_integral(u_tilde(c) ** DIM, ws)
-    euler = localize_integral(chern_restrictions(ws, DIM), ws)
+    euler = localize_integral(EquivariantClass(2 * DIM, tuple(s[DIM] for s in sigmas)), ws)
     return {
         "ring_q": [str(v) for v in rp.q],
         "a": list(rp.a),

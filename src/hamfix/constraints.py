@@ -58,7 +58,8 @@ class Violation(namedtuple("Violation", "rule vertices edges detail", defaults=(
     def __new__(cls, rule: str, vertices=(), edges=(), detail: str = "") -> "Violation":
         if not vertices and not edges:
             raise ValueError("a violation must name at least one vertex or edge")
-        return super().__new__(cls, rule, vertices, edges, detail)
+        # the tuple itself: namedtuple's generated __new__ would bind the fields again
+        return tuple.__new__(cls, (rule, vertices, edges, detail))
 
     def to_dict(self) -> dict:
         return {
@@ -246,41 +247,48 @@ def _iter_components(edges, weights):
     ``model._isotropy`` builds, by order k then lowest vertex, is checked
     for regularity, index bound, smallest-weight balance and mod-k
     congruence, and a :class:`Violation` is built only when a rule fires.
+
+    A component of one k-edge of multiplicity 1 is an isotropy 2-sphere with
+    two fixed points: both have one k-divisible weight and sit at index
+    levels 0 and 1, and its one edge balances itself, so regularity, the
+    index bound and balance hold there and only mod-k congruence is checked.
+    A search leaf holds one edge per slot, so parallel slots are two k-edges.
     """
     for k, vertices, within, down, kedges in _isotropy(edges):
-        counts = [within[v] for v in vertices]
-        d = counts[0]
-        if counts.count(d) != len(counts):
-            yield Violation(
-                "ComponentRegularity",
-                vertices,
-                detail=f"k={k} component {vertices}: divisible-weight counts "
-                f"{tuple(counts)} are not constant",
-            )
-        else:
-            levels = [0] * (d + 1)
-            for v in vertices:
-                levels[down[v]] += 1
-            irregular = []
-            if levels[0] != 1 or levels[d] != 1:
-                irregular.append(f"expected unique minimum and maximum, levels {levels}")
-            for m in range(d + 1):
-                if levels[m] == 0:
-                    irregular.append(f"no vertex at index level {m} of {d}")
-            if levels != levels[::-1]:
-                irregular.append(f"index level counts {levels} are not symmetric under duality")
-            for text in irregular:
-                detail = f"k={k} component {vertices}: {text}"
-                yield Violation("ComponentRegularity", vertices, detail=detail)
-            for p, v in enumerate(vertices):
-                if down[v] > p:
-                    yield Violation(
-                        "IndexBound",
-                        (v,),
-                        detail=f"k={k} component {vertices}: vertex {v} has index level "
-                        f"{down[v]} with only {p} lower vertices in the component",
-                    )
-            yield from _iter_balance(kedges, down, d, k, vertices)
+        if len(kedges) != 1 or kedges[0][3] != 1:
+            counts = [within[v] for v in vertices]
+            d = counts[0]
+            if counts.count(d) != len(counts):
+                yield Violation(
+                    "ComponentRegularity",
+                    vertices,
+                    detail=f"k={k} component {vertices}: divisible-weight counts "
+                    f"{tuple(counts)} are not constant",
+                )
+            else:
+                levels = [0] * (d + 1)
+                for v in vertices:
+                    levels[down[v]] += 1
+                irregular = []
+                if levels[0] != 1 or levels[d] != 1:
+                    irregular.append(f"expected unique minimum and maximum, levels {levels}")
+                for m in range(d + 1):
+                    if levels[m] == 0:
+                        irregular.append(f"no vertex at index level {m} of {d}")
+                if levels != levels[::-1]:
+                    irregular.append(f"index level counts {levels} are not symmetric under duality")
+                for text in irregular:
+                    detail = f"k={k} component {vertices}: {text}"
+                    yield Violation("ComponentRegularity", vertices, detail=detail)
+                for p, v in enumerate(vertices):
+                    if down[v] > p:
+                        yield Violation(
+                            "IndexBound",
+                            (v,),
+                            detail=f"k={k} component {vertices}: vertex {v} has index level "
+                            f"{down[v]} with only {p} lower vertices in the component",
+                        )
+                yield from _iter_balance(kedges, down, d, k, vertices)
         base = vertices[0]
         base_res = sorted([w % k for w in weights[base]])
         for v in vertices[1:]:

@@ -67,7 +67,8 @@ class WeightEdge(namedtuple("WeightEdge", "lo hi w mult", defaults=(1,))):
             raise ValueError(f"edge weight must be positive, got {w}")
         if mult < 1:
             raise ValueError(f"edge multiplicity must be positive, got {mult}")
-        return super().__new__(cls, lo, hi, w, mult)
+        # the tuple itself: namedtuple's generated __new__ would bind the fields again
+        return tuple.__new__(cls, (lo, hi, w, mult))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import prod
 
 import pytest
@@ -30,7 +30,7 @@ from hamfix import (
     total_chern,
     u_tilde,
 )
-from hamfix.cohomology import _scaled_basis, elementary_symmetric
+from hamfix.cohomology import _scaled_basis, _sigmas, elementary_symmetric
 from hamfix.model import PAIRS
 
 
@@ -48,6 +48,27 @@ def test_elementary_symmetric():
     # (1+t)(1+2t)(1+3t)(1+4t)(1+5t) has coefficients 1, 15, 85, 225, 274, 120
     vals = (1, 2, 3, 4, 5)
     assert [elementary_symmetric(vals, m) for m in range(6)] == [1, 15, 85, 225, 274, 120]
+
+
+def test_sigmas_match_subset_products(mutant_corpus):
+    # the one product recurrence against sums over m-subsets, m = 0..5: every
+    # vertex multiset of the corpus, then seeded signed multisets with weights
+    # up to +-60 and lengths 0..8, shorter and longer than a vertex's five
+    def reference(values, m):
+        return sum(prod(s) for s in combinations(values, m))
+
+    multisets = {w for c in mutant_corpus for w in c.weight_system.weights}
+    rng = random.Random(20261021)
+    for n in range(9):
+        for _ in range(200):
+            multisets.add(tuple(rng.choice((-1, 1)) * rng.randint(1, 60) for _ in range(n)))
+    assert {len(w) for w in multisets} == set(range(9))
+    for values in multisets:
+        expected = [reference(values, m) for m in range(6)]
+        assert _sigmas(values) == expected, values
+        assert [elementary_symmetric(values, m) for m in range(6)] == expected, values
+        for m in range(6):
+            assert _sigmas(values, m) == expected[: m + 1], (values, m)
 
 
 def test_lambda_products(o):

@@ -8,6 +8,7 @@ import hashlib
 import json
 import pickle
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from operator import attrgetter
@@ -37,9 +38,14 @@ from hamfix.constraints import (
     _walk,
     is_valid,
 )
-from hamfix.model import DIM, N_POINTS, PAIRS
+from hamfix.model import DIM, N_POINTS, PAIRS, _isotropy
 
-from conftest import _component_pass_sides, _random_cells, _screened_walk
+from conftest import (
+    _component_pass_sides,
+    _iter_components_reference,
+    _random_cells,
+    _screened_walk,
+)
 
 
 @pytest.fixture(scope="module")
@@ -328,6 +334,41 @@ def test_component_pass_matches_per_order_reference(mutant_corpus):
         assert got == expected, (edges, weights)
         rules.update({v.rule for v in got} or {None})
     assert set(rules) == {"ComponentRegularity", "IndexBound", "SmallestWeightBalance", "ModK", None}
+
+
+def test_one_edge_components_only_check_mod_k(mutant_corpus):
+    # the lemma behind _iter_components' one-edge path, read off the per-order
+    # reference: a component of one k-edge of multiplicity 1 (an isotropy
+    # 2-sphere) never fails regularity, the index bound or balance, while a
+    # pair joined twice, by one edge of multiplicity 2 or by two k-edges,
+    # fails regularity; on the corpus and on random leaves, in both forms
+    located = re.compile(r"k=(\d+) component (\([\d, ]*\))")
+    structure = {"ComponentRegularity", "IndexBound", "SmallestWeightBalance"}
+    rng = random.Random(20261022)
+    profile = MomentProfile(tuple(range(N_POINTS)))
+    inputs = [(c.edges, c.weight_system.weights) for c in mutant_corpus]
+    for _ in range(3000):
+        pool = rng.sample(range(1, 61), rng.randint(1, 5))
+        edges, weights = search._leaf_plain(_random_cells(rng, pool))
+        inputs.append((edges, weights))
+        c = Configuration(profile, tuple(WeightEdge(*e) for e in edges))
+        inputs.append((c.edges, c.weight_system.weights))
+    seen = collections.Counter()
+    for edges, weights in inputs:
+        fired = collections.defaultdict(set)
+        for v in _iter_components_reference(edges, weights):
+            if v.rule in structure:
+                k, vertices = located.search(v.detail).groups()
+                fired[int(k), vertices].add(v.rule)
+        for k, vertices, _, _, kedges in _isotropy(edges):
+            rules = fired[k, str(vertices)]
+            if len(kedges) == 1 and kedges[0][3] == 1:
+                assert not rules, (edges, k, vertices)
+                seen["one"] += 1
+            elif len(vertices) == 2 and sum(e[3] for e in kedges) == 2:
+                assert "ComponentRegularity" in rules, (edges, k, vertices)
+                seen["merged" if len(kedges) == 1 else "two"] += 1
+    assert min(seen["one"], seen["merged"], seen["two"]) > 0, seen
 
 
 # -- extremal edges ----------------------------------------------------------
