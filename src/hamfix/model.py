@@ -30,7 +30,8 @@ derivation (a :class:`StructureError`) is not cached.
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict, namedtuple
+from bisect import bisect_left
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import isqrt, prod
@@ -110,10 +111,10 @@ class MomentProfile:
 class Configuration:
     """Moment profile plus the edge multiset; the object every check consumes.
 
-    Edges are normalized on construction: parallel edges with equal weight
-    are merged into one entry and the tuple is sorted by ``(lo, hi, w)``,
-    which makes equality, hashing and serialization canonical.  The cached
-    :attr:`weight_system` is not a field, so it takes no part in either.
+    Edges are sorted once by ``(lo, hi, w)`` on construction, keeping the caller's
+    validated ``WeightEdge`` objects: only merged parallel edges (and edges of another
+    type) are new.  That makes equality, hashing and serialization canonical; the
+    cached :attr:`weight_system` is not a field, so it takes no part in them.
     """
 
     profile: MomentProfile
@@ -122,13 +123,16 @@ class Configuration:
     effective: bool = False
 
     def __post_init__(self) -> None:
-        merged: Counter = Counter()
-        for e in self.edges:
-            merged[(e.lo, e.hi, e.w)] += e.mult
-        norm = tuple(
-            WeightEdge(lo, hi, w, m) for (lo, hi, w), m in sorted(merged.items())
-        )
-        object.__setattr__(self, "edges", norm)
+        edges = sorted([e if type(e) is WeightEdge else WeightEdge(e.lo, e.hi, e.w, e.mult)
+                        for e in self.edges])
+        norm = edges[:1]
+        for e in edges[1:]:
+            p = norm[-1]
+            if e[2] == p[2] and e[:2] == p[:2]:  # parallel (w first, the cheap test): merge
+                norm[-1] = WeightEdge(e.lo, e.hi, e.w, p.mult + e.mult)
+            else:
+                norm.append(e)
+        object.__setattr__(self, "edges", tuple(norm))
 
     @property
     def moment(self) -> tuple[int, ...]:
@@ -337,7 +341,8 @@ def canonicalize(c: Configuration) -> Configuration:
 
 def _has_edge(c: Configuration, lo: int, hi: int, w: int) -> bool:
     """Whether ``c`` has an edge of weight ``w`` between vertices ``lo`` < ``hi``."""
-    return any(e.lo == lo and e.hi == hi and e.w == w for e in c.edges)
+    i = bisect_left(c.edges, (lo, hi, w))
+    return i < len(c.edges) and c.edges[i][:3] == (lo, hi, w)
 
 
 # ---------------------------------------------------------------------------

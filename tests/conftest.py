@@ -3,15 +3,25 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, product
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
-from hamfix import Configuration, SearchSpec, WeightEdge, builtin, enumerate_configurations, search
+from hamfix import (
+    Configuration,
+    MomentProfile,
+    SearchSpec,
+    WeightEdge,
+    builtin,
+    enumerate_configurations,
+    search,
+)
 from hamfix.constraints import Violation, _iter_balance, _iter_components
-from hamfix.model import N_POINTS
+from hamfix.model import N_POINTS, PAIRS
 
 #: mutants drawn from every single-edge weight change by -2, -1, +1 or +2
 MUTANTS = 3000
@@ -46,6 +56,58 @@ def mutant_corpus():
             Configuration(c.profile, tuple(edges), label=f"{c.label}~e{i}w{w}", effective=c.effective)
         )
     return base + mutants
+
+
+class _SubclassEdge(WeightEdge):
+    """A ``WeightEdge`` subclass: ``Configuration`` keeps no edge of it."""
+
+    __slots__ = ()
+
+
+def _normalized_edges_reference(edges) -> tuple:
+    """The multiplicities of equal ``(lo, hi, w)`` summed in a ``Counter``,
+    one new ``WeightEdge`` per key, sorted by key: the edges a ``Configuration``
+    built from ``edges`` must equal, made without its sort-and-merge."""
+    merged: Counter = Counter()
+    for e in edges:
+        merged[(e.lo, e.hi, e.w)] += e.mult
+    return tuple(WeightEdge(lo, hi, w, m) for (lo, hi, w), m in sorted(merged.items()))
+
+
+def _random_edge_input(rng: random.Random) -> tuple[list, object]:
+    """Up to 12 seeded edges in shuffled order, over random vertex pairs with
+    weights 1..3 and multiplicities 1..3, so equal ``(lo, hi, w)`` repeat.
+    Most are ``WeightEdge``s; some are ``_SubclassEdge``s and some objects
+    with only the four fields.  Returned with the same edges in the container
+    ``Configuration`` gets: a list, a tuple or a generator."""
+    edges = []
+    for _ in range(rng.randint(0, 12)):
+        fields = (*rng.choice(PAIRS), rng.randint(1, 3), rng.randint(1, 3))
+        kind = rng.random()
+        if kind < 0.8:
+            edges.append(WeightEdge(*fields))
+        elif kind < 0.9:
+            edges.append(_SubclassEdge(*fields))
+        else:
+            edges.append(SimpleNamespace(**dict(zip(WeightEdge._fields, fields))))
+    container = rng.choice((list, tuple, lambda es: (e for e in es)))
+    return edges, container(edges)
+
+
+def _assert_normalized(edges, given) -> tuple:
+    """``Configuration``'s edges built from ``given``, which holds ``edges``,
+    against ``_normalized_edges_reference(edges)``: equal, each an exact
+    ``WeightEdge``, strictly increasing in ``(lo, hi, w)``, and each exact
+    ``WeightEdge`` whose ``(lo, hi, w)`` no other edge shares kept as the
+    same object.  Returns the configuration's edges."""
+    got = Configuration(MomentProfile(tuple(range(N_POINTS))), given).edges
+    assert got == _normalized_edges_reference(edges), edges
+    assert all(type(e) is WeightEdge for e in got), got
+    assert all(a[:3] < b[:3] for a, b in zip(got, got[1:])), got
+    keys = Counter((e.lo, e.hi, e.w) for e in edges)
+    alone = {e[:3]: e for e in edges if type(e) is WeightEdge and keys[e[:3]] == 1}
+    assert all(e is alone[e[:3]] for e in got if e[:3] in alone), edges
+    return got
 
 
 #: the upper-triangular cells (i, j), i < j, of a slot matrix, in row order

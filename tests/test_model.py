@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -31,9 +32,9 @@ from hamfix import (
 )
 from hamfix import model
 from hamfix.constraints import is_valid
-from hamfix.model import _divisors, _isotropy, slot_counts, sort_key, structure_problems
+from hamfix.model import _divisors, _has_edge, _isotropy, slot_counts, sort_key, structure_problems
 
-from conftest import _orders_reference
+from conftest import _assert_normalized, _orders_reference, _random_edge_input
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +111,43 @@ def test_parallel_edges_merge():
     prof = MomentProfile.from_gaps((1, 1, 1, 1, 1))
     c = Configuration(prof, (WeightEdge(0, 5, 1), WeightEdge(0, 5, 1)))
     assert c.edges == (WeightEdge(0, 5, 1, 2),)
+
+
+def test_edges_normalize_as_the_reference(mutant_corpus):
+    # the one-sort merge against the Counter merge on the builtins and their
+    # mutants, whose edges are canonical, given as they are, reversed and as a
+    # generator: every edge object comes back as it is
+    for c in mutant_corpus:
+        for given in (c.edges, list(reversed(c.edges)), (e for e in c.edges)):
+            _assert_normalized(list(c.edges), given)
+    # seeded shuffled edge lists with repeated (lo, hi, w), subclass and
+    # field-only edges, in a list, a tuple or a generator
+    rng = random.Random(20261030)
+    seen = Counter()
+    for _ in range(5000):
+        edges, given = _random_edge_input(rng)
+        seen["merged"] += len(_assert_normalized(edges, given)) < len(edges)
+        seen[type(given).__name__] += 1
+        seen.update(type(e).__name__ for e in edges)
+    kinds = ("merged", "list", "tuple", "generator", "WeightEdge", "_SubclassEdge", "SimpleNamespace")
+    assert all(seen[k] > 100 for k in kinds), seen
+
+
+def test_has_edge_matches_linear_scan(mutant_corpus):
+    # the bisection against a scan of every edge, at the pairs the verifiers
+    # and the extremal rule probe, with weights 1..8, on the builtins, their
+    # mutants and seeded configurations whose merged edges have mult > 1
+    rng = random.Random(20261031)
+    profile = MomentProfile(tuple(range(6)))
+    configs = [*mutant_corpus, *(Configuration(profile, _random_edge_input(rng)[1]) for _ in range(2000))]
+    found = Counter()
+    for c in configs:
+        for lo, hi in ((0, 1), (1, 3), (2, 4), (0, 5)):
+            for w in range(1, 9):
+                mults = [e.mult for e in c.edges if e.lo == lo and e.hi == hi and e.w == w]
+                assert _has_edge(c, lo, hi, w) == bool(mults), (c, lo, hi, w)
+                found[mults[0] > 1 if mults else None] += 1
+    assert found[True] and found[False] and found[None], found
 
 
 def test_o_weight_system(o):
