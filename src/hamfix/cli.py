@@ -15,7 +15,6 @@ among them), each reported as one ``error:`` line on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -91,7 +90,7 @@ def _cmd_check(args) -> int:
         raise ParamError("--effective and --no-effective cannot be combined")
     config = _load_config(args.config)
     if args.effective or args.no_effective:
-        config = dataclasses.replace(config, effective=args.effective)
+        config = config._replace(effective=args.effective)
     report = check_all(config)
     doc = report.to_dict()
     human = [f"configuration: {config.label or args.config}"]

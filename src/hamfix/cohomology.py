@@ -18,10 +18,10 @@ takes a configuration reads its one cached weight system,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .model import DIM, N_POINTS, Configuration, WeightSystem
+from .model import DIM, N_POINTS, Configuration, WeightSystem, _record
 
 
 class CohomologyError(ValueError):
@@ -40,23 +40,18 @@ class ConsistencyError(CohomologyError):
     """Restrictions are inconsistent with a basis expansion."""
 
 
-@dataclass(frozen=True)
-class EquivariantClass:
+class EquivariantClass(_record("EquivariantClass", "degree coeffs")):
     """Degree-homogeneous class; restriction at vertex i is coeffs[i] t^(deg/2)."""
 
-    degree: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.degree % 2 != 0 or self.degree < 0:
-            raise ValueError(f"degree must be a nonnegative even integer: {self.degree}")
-        if len(self.coeffs) != N_POINTS:
+    def __new__(cls, degree: int, coeffs) -> "EquivariantClass":
+        if degree % 2 != 0 or degree < 0:
+            raise ValueError(f"degree must be a nonnegative even integer: {degree}")
+        if len(coeffs) != N_POINTS:
             raise ValueError("one restriction per fixed point required")
-        object.__setattr__(
-            self,
-            "coeffs",
-            tuple(x if type(x) is Fraction else Fraction(x) for x in self.coeffs),
-        )
+        coeffs = tuple(x if type(x) is Fraction else Fraction(x) for x in coeffs)
+        return tuple.__new__(cls, (degree, coeffs))
 
     def __mul__(self, other: "EquivariantClass") -> "EquivariantClass":
         return EquivariantClass(
@@ -68,16 +63,13 @@ class EquivariantClass:
         return EquivariantClass(self.degree * n, tuple(x**n for x in self.coeffs))
 
 
-@dataclass(frozen=True)
-class RingPresentation:
+class RingPresentation(namedtuple("RingPresentation", "q a")):
     """Rational multipliers q_i with alpha_i = q_i [omega]^i, and a_i = 1/q_i."""
 
-    q: tuple[Fraction, ...]
-    a: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ChernReport:
+class ChernReport(namedtuple("ChernReport", "equivariant ordinary")):
     """Basis expansions of the equivariant Chern classes.
 
     ``equivariant[m-1]`` lists the integers d_{m,0..m} with
@@ -85,8 +77,7 @@ class ChernReport:
     (d_{1,1}, ..., d_{5,5}) giving the ordinary Chern classes.
     """
 
-    equivariant: tuple[tuple[int, ...], ...]
-    ordinary: tuple[int, ...]
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ object.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -39,6 +38,7 @@ from .model import (
     WeightSystem,
     _has_edge,
     _isotropy,
+    _record,
     structure_problems,
 )
 
@@ -46,14 +46,12 @@ C1_MIN = 1
 C1_MAX = N_POINTS  # the multiple of the symplectic generator is between 1 and n+1
 
 
-class Violation(namedtuple("Violation", "rule vertices edges detail", defaults=((), (), ""))):
+class Violation(_record("Violation", "rule vertices edges detail")):
     """One failed predicate, located at the vertices and ``(lo, hi, w)``
     edges involved: a named tuple, so it sorts by its fields, whose
-    ``__new__`` (called on unpickling too) checks that it names one."""
+    ``__new__`` checks that it names one."""
 
     __slots__ = ()
-    # namedtuple's own _make, which _replace calls, would skip the check
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, rule: str, vertices=(), edges=(), detail: str = "") -> "Violation":
         if not vertices and not edges:
@@ -76,11 +74,11 @@ class Violation(namedtuple("Violation", "rule vertices edges detail", defaults=(
 _VERTICES = tuple(range(N_POINTS))
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    passed: bool
-    c1: int | None
-    violations: tuple[Violation, ...]
+class CheckReport(namedtuple("CheckReport", "passed c1 violations")):
+    """The PASS/FAIL verdict, the first-Chern multiple (``None`` where it is
+    undefined) and the sorted violations."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -353,7 +351,7 @@ def check_all(c: Configuration) -> CheckReport:
 
     The gcd-of-weights check runs exactly when ``c.effective`` is set; to
     check the same data with the other setting, check
-    ``dataclasses.replace(c, effective=...)``.
+    ``c._replace(effective=...)``.
     """
     walk = _walk(c)
     violations: list[Violation] = []

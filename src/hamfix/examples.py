@@ -15,7 +15,7 @@ Four families are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .model import (
     Configuration,
@@ -35,12 +35,14 @@ class DegenerateDirection(ValueError):
     """The chosen circle direction collapses an edge weight or two vertices."""
 
 
-@dataclass(frozen=True)
-class GKMGraph:
-    """A two-torus moment graph: 2D vertex positions and 2D edge weights."""
+class GKMGraph(namedtuple("GKMGraph", "vertices edges")):
+    """A two-torus moment graph: 2D vertex positions and 2D edge weights.
 
-    vertices: tuple[tuple[str, tuple[int, int]], ...]
-    edges: tuple[tuple[int, int, tuple[int, int]], ...]  # (vertex idx, vertex idx, weight)
+    ``vertices`` holds ``(name, (x, y))`` pairs and ``edges`` holds
+    ``(vertex index, vertex index, (x, y) weight)`` triples.
+    """
+
+    __slots__ = ()
 
 
 def o_gkm_graph() -> GKMGraph:
@@ -112,9 +114,7 @@ def project_gkm(g: GKMGraph, xi: tuple[int, int]) -> Configuration:
 
 
 def _builtin_o() -> Configuration:
-    from dataclasses import replace
-
-    return replace(project_gkm(o_gkm_graph(), (1, 2)), label="o")
+    return project_gkm(o_gkm_graph(), (1, 2))._replace(label="o")
 
 
 def _builtin_cp5(a: int, b: int, c: int, d: int, e: int) -> Configuration:

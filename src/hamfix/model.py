@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import defaultdict, namedtuple
-from dataclasses import dataclass
 from functools import cache, cached_property
 from math import isqrt, prod
 
@@ -53,13 +52,20 @@ class SchemaError(ValueError):
     """A JSON document does not match the configuration schema."""
 
 
-class WeightEdge(namedtuple("WeightEdge", "lo hi w mult", defaults=(1,))):
+def _record(name: str, fields: str):
+    """A named tuple base whose ``_make``, which ``_replace`` calls, builds
+    through the subclass: a subclass's ``__new__``, called on unpickling
+    too, then checks every record however it is made."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+class WeightEdge(_record("WeightEdge", "lo hi w mult")):
     """``mult`` parallel weight-``w`` edges from vertex ``lo`` up to ``hi``,
-    a named tuple whose ``__new__`` (called on unpickling too) checks them."""
+    a named tuple whose ``__new__`` checks them."""
 
     __slots__ = ()
-    # namedtuple's own _make, which _replace calls, would skip the checks
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, lo: int, hi: int, w: int, mult: int = 1) -> "WeightEdge":
         if not (0 <= lo < hi < N_POINTS):
@@ -72,23 +78,22 @@ class WeightEdge(namedtuple("WeightEdge", "lo hi w mult", defaults=(1,))):
         return tuple.__new__(cls, (lo, hi, w, mult))
 
 
-@dataclass(frozen=True)
-class MomentProfile:
+class MomentProfile(_record("MomentProfile", "values")):
     """Strictly increasing integer moment values, normalized to start at 0."""
 
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        vals = tuple(self.values)
+    def __new__(cls, values) -> "MomentProfile":
+        vals = tuple(values)
         if not all(_is_int(v) for v in vals):
             raise ValueError(f"moment values must be integers, got {vals}")
-        object.__setattr__(self, "values", vals)
         if len(vals) != N_POINTS:
             raise ValueError(f"expected {N_POINTS} moment values, got {len(vals)}")
         if vals[0] != 0:
             raise ValueError("moment values must be normalized so the minimum is 0")
         if any(a >= b for a, b in zip(vals, vals[1:])):
             raise ValueError(f"moment values must be strictly increasing: {vals}")
+        return tuple.__new__(cls, (vals,))
 
     @classmethod
     def from_gaps(cls, gaps) -> "MomentProfile":
@@ -107,24 +112,20 @@ class MomentProfile:
         return self.values[-1]
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(_record("Configuration", "profile edges label effective")):
     """Moment profile plus the edge multiset; the object every check consumes.
 
     Edges are sorted once by ``(lo, hi, w)`` on construction, keeping the caller's
     validated ``WeightEdge`` objects: only merged parallel edges (and edges of another
-    type) are new.  That makes equality, hashing and serialization canonical; the
-    cached :attr:`weight_system` is not a field, so it takes no part in them.
+    type) are new.  That makes equality, hashing and serialization canonical.  The
+    cached :attr:`weight_system` lives in the instance ``__dict__``, outside the
+    tuple, so it takes no part in equality, hashing or repr but travels in pickles;
+    no attribute can be assigned.
     """
 
-    profile: MomentProfile
-    edges: tuple[WeightEdge, ...]
-    label: str = ""
-    effective: bool = False
-
-    def __post_init__(self) -> None:
+    def __new__(cls, profile: MomentProfile, edges, label: str = "", effective: bool = False):
         edges = sorted([e if type(e) is WeightEdge else WeightEdge(e.lo, e.hi, e.w, e.mult)
-                        for e in self.edges])
+                        for e in edges])
         norm = edges[:1]
         for e in edges[1:]:
             p = norm[-1]
@@ -132,7 +133,10 @@ class Configuration:
                 norm[-1] = WeightEdge(e.lo, e.hi, e.w, p.mult + e.mult)
             else:
                 norm.append(e)
-        object.__setattr__(self, "edges", tuple(norm))
+        return tuple.__new__(cls, (profile, tuple(norm), label, effective))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a Configuration is immutable")
 
     @property
     def moment(self) -> tuple[int, ...]:
@@ -162,8 +166,7 @@ class Configuration:
         )
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(namedtuple("WeightSystem", "weights gamma lam_minus lam")):
     """Per-vertex signed weight multisets with their sums and products.
 
     ``weights[i]`` is the sorted multiset of the five signed weights at
@@ -171,14 +174,12 @@ class WeightSystem:
     negative entries (empty product = 1); ``lam[i]`` the product of all.
     """
 
-    weights: tuple[tuple[int, ...], ...]
-    gamma: tuple[int, ...]
-    lam_minus: tuple[int, ...]
-    lam: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IsotropyComponent:
+class IsotropyComponent(
+    namedtuple("IsotropyComponent", "k vertices within_degree within_down edges")
+):
     """One connected component of the subgraph of edges with ``k | w``.
 
     ``within_degree``/``within_down`` count the slots (total / downward)
@@ -190,11 +191,7 @@ class IsotropyComponent:
     of the order-``k`` subgroup.
     """
 
-    k: int
-    vertices: tuple[int, ...]
-    within_degree: tuple[int, ...]
-    within_down: tuple[int, ...]
-    edges: tuple[WeightEdge, ...]
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +303,10 @@ def _split(pairs: int) -> tuple:
 #: the largest edge weight the CLI accepts and the widest ``SearchSpec``: ``_divisors``
 #: trial-divides a weight or cell gap up to its square root, a million steps here
 MAX_EDGE_WEIGHT = 10**12
+
+#: the most size-(DIM - 1) multisets of one cell's allowed weights the search
+#: lists: a cell gap with many divisors is refused before its table is built
+MAX_TABLE_SIZE = 10**6
 
 
 @cache

@@ -69,16 +69,17 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache
 from itertools import accumulate, combinations, combinations_with_replacement
-from math import gcd
+from math import comb, gcd
 
 from . import cohomology
 from .constraints import C1_MAX, C1_MIN, _iter_components, compute_c1, is_valid
 from .model import (
     DIM,
     MAX_EDGE_WEIGHT,
+    MAX_TABLE_SIZE,
     N_POINTS,
     PAIRS,
     Configuration,
@@ -87,6 +88,7 @@ from .model import (
     _divisors,
     _has_edge,
     _is_int,
+    _record,
     canonicalize,
     config_to_dict,
     sort_key,
@@ -104,60 +106,74 @@ class SpecError(ValueError):
     """Search bounds, filters, theorem parameters or the worker count are out of range."""
 
 
-@dataclass(frozen=True)
-class SearchSpec:
-    """Bounds, filters and pruning toggles for one enumeration run."""
+class SearchSpec(
+    _record(
+        "SearchSpec",
+        "max_weight max_width c1 largest_from require_effective gaps"
+        " prune_divisibility prune_extremal prune_gamma prune_balance node_limit",
+    )
+):
+    """Bounds, filters and pruning toggles for one enumeration run, checked
+    and normalized by ``__new__``.  ``max_width`` None is the proved bound,
+    2 * DIM * max_weight; ``gaps``, if given, pins the one gap vector to search."""
 
-    max_weight: int
-    max_width: int | None = None  # None: the proved bound, 2 * DIM * max_weight
-    c1: int | None = None
-    largest_from: tuple[tuple[int, int], ...] = ()
-    require_effective: bool = False
-    gaps: tuple[int, ...] | None = None  # the one gap vector to search, if pinned
-    prune_divisibility: bool = True
-    prune_extremal: bool = True
-    prune_gamma: bool = True
-    prune_balance: bool = True
-    node_limit: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("max_weight", "max_width", "c1", "node_limit"):
-            v = getattr(self, name)
+    def __new__(
+        cls,
+        max_weight: int,
+        max_width: int | None = None,
+        c1: int | None = None,
+        largest_from=(),
+        require_effective: bool = False,
+        gaps=None,
+        prune_divisibility: bool = True,
+        prune_extremal: bool = True,
+        prune_gamma: bool = True,
+        prune_balance: bool = True,
+        node_limit: int | None = None,
+    ) -> "SearchSpec":
+        for name, v in (("max_weight", max_weight), ("max_width", max_width), ("c1", c1),
+                        ("node_limit", node_limit)):
             if v is None and name == "max_width":  # max_weight has passed its check
-                object.__setattr__(self, name, 2 * DIM * self.max_weight)
+                max_width = 2 * DIM * max_weight
             elif not _is_int(v) and not (v is None and name in ("c1", "node_limit")):
                 raise SpecError(f"{name} must be an integer, got {v!r}")
-        for name in ("require_effective", *(f"prune_{rule}" for rule in _TOGGLES)):
-            if not isinstance(getattr(self, name), bool):
-                raise SpecError(f"{name} must be a boolean, got {getattr(self, name)!r}")
-        if self.max_weight < 1:
+        toggles = (prune_divisibility, prune_extremal, prune_gamma, prune_balance)
+        names = ("require_effective", *(f"prune_{rule}" for rule in _TOGGLES))
+        for name, v in zip(names, (require_effective, *toggles)):
+            if not isinstance(v, bool):
+                raise SpecError(f"{name} must be a boolean, got {v!r}")
+        if max_weight < 1:
             raise SpecError("max_weight must be at least 1")
-        if self.max_width < DIM:
+        if max_width < DIM:
             raise SpecError(f"max_width must be at least {DIM}")
-        if self.max_width > MAX_EDGE_WEIGHT:  # every cell gap is at most the width
-            raise SpecError(f"max_width {self.max_width} exceeds {MAX_EDGE_WEIGHT}")
-        if self.c1 is not None and not C1_MIN <= self.c1 <= C1_MAX:
-            raise SpecError(f"c1 must be in [{C1_MIN}, {C1_MAX}], got {self.c1}")
-        if self.node_limit is not None and self.node_limit < 0:
-            raise SpecError(f"node_limit must be at least 0, got {self.node_limit}")
-        if not isinstance(self.largest_from, (tuple, list)):
-            raise SpecError(f"largest_from must be a list of pairs, got {self.largest_from!r}")
-        for p in self.largest_from:
+        if max_width > MAX_EDGE_WEIGHT:  # every cell gap is at most the width
+            raise SpecError(f"max_width {max_width} exceeds {MAX_EDGE_WEIGHT}")
+        if c1 is not None and not C1_MIN <= c1 <= C1_MAX:
+            raise SpecError(f"c1 must be in [{C1_MIN}, {C1_MAX}], got {c1}")
+        if node_limit is not None and node_limit < 0:
+            raise SpecError(f"node_limit must be at least 0, got {node_limit}")
+        if not isinstance(largest_from, (tuple, list)):
+            raise SpecError(f"largest_from must be a list of pairs, got {largest_from!r}")
+        for p in largest_from:
             ok = isinstance(p, (tuple, list)) and len(p) == 2 and all(_is_int(v) for v in p)
             if not (ok and 0 <= min(p) < max(p) < N_POINTS):
                 raise SpecError(
                     f"largest_from pair {p!r} must join two distinct vertices 0..{N_POINTS - 1}"
                 )
-        object.__setattr__(self, "largest_from", tuple(tuple(sorted(p)) for p in self.largest_from))
-        if self.gaps is not None:
-            g = tuple(self.gaps) if isinstance(self.gaps, (tuple, list)) else ()
+        largest_from = tuple(tuple(sorted(p)) for p in largest_from)
+        if gaps is not None:
+            g = tuple(gaps) if isinstance(gaps, (tuple, list)) else ()
             if len(g) != DIM or not all(_is_int(x) and x >= 1 for x in g):
-                raise SpecError(f"gaps must be {DIM} positive integers, got {self.gaps!r}")
-            if sum(g) > self.max_width:
-                raise SpecError(f"gaps {g} are wider than max_width {self.max_width}")
+                raise SpecError(f"gaps must be {DIM} positive integers, got {gaps!r}")
+            if sum(g) > max_width:
+                raise SpecError(f"gaps {g} are wider than max_width {max_width}")
             if g > g[::-1]:
                 raise SpecError(f"gaps {g} are not mirror-canonical; pin {g[::-1]} instead")
-            object.__setattr__(self, "gaps", g)
+            gaps = g
+        fields = (max_weight, max_width, c1, largest_from, require_effective, gaps)
+        return tuple.__new__(cls, (*fields, *toggles, node_limit))
 
     def to_dict(self) -> dict:
         return {
@@ -172,10 +188,15 @@ class SearchSpec:
         }
 
 
-@dataclass
 class SearchStats:
-    nodes: int = 0
-    pruned: dict = field(default_factory=lambda: {r: 0 for r in PRUNE_RULES})
+    """The node and prune counters of a search, merged in place as its
+    chunks finish."""
+
+    __slots__ = ("nodes", "pruned")
+
+    def __init__(self, nodes: int = 0, pruned: dict | None = None) -> None:
+        self.nodes = nodes
+        self.pruned = {r: 0 for r in PRUNE_RULES} if pruned is None else pruned
 
     def merge(self, other: "SearchStats") -> None:
         self.nodes += other.nodes
@@ -186,11 +207,11 @@ class SearchStats:
         return {"nodes": self.nodes, "pruned": dict(self.pruned)}
 
 
-@dataclass
-class SearchResult:
-    spec: SearchSpec
-    configurations: tuple[Configuration, ...]
-    stats: SearchStats
+class SearchResult(namedtuple("SearchResult", "spec configurations stats")):
+    """The spec searched, the canonical configurations found, sorted, and
+    the search's ``SearchStats``."""
+
+    __slots__ = ()
 
     def weight_systems(self) -> list[tuple[tuple[int, ...], ...]]:
         return _weight_systems(self.configurations)
@@ -272,7 +293,14 @@ def _tables(allowed: tuple[int, ...], wm: int) -> tuple:
     every plan and cell that allows those weights and counts that weight.
     No cell places DIM slots: a cell places at most its lower vertex i's
     DIM - i upward slots, and cell (0, 1), vertex 1's only downward cell,
-    takes one of vertex 0's before any other cell of row 0."""
+    takes one of vertex 0's before any other cell of row 0.  A SpecError
+    refuses ``allowed`` whose largest table would exceed ``MAX_TABLE_SIZE``."""
+    size = comb(len(allowed) + DIM - 2, DIM - 1)
+    if size > MAX_TABLE_SIZE:
+        raise SpecError(
+            f"a cell allows {len(allowed)} weights, whose {size} multisets of {DIM - 1} "
+            f"exceed {MAX_TABLE_SIZE}"
+        )
     built = []
     for m in range(DIM):
         # stable on the lexicographic order the combinations come in
@@ -670,13 +698,11 @@ def _pool(spec: SearchSpec, workers: int | None) -> SearchResult:
     return res
 
 
-@dataclass
-class TheoremReport:
-    name: str
-    passed: bool
-    summary: str
-    data: dict
-    stats: SearchStats
+class TheoremReport(namedtuple("TheoremReport", "name passed summary data stats")):
+    """A verifier's verdict, one-line summary, ``data`` document and the
+    statistics of the search it read."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -6,12 +6,13 @@ import json
 import resource
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
-from hamfix import builtin, config_from_dict, config_to_dict
+from hamfix import SpecError, builtin, config_from_dict, config_to_dict, search
 from hamfix.cli import MAX_EDGE_WEIGHT, main
-from hamfix.model import sort_key
+from hamfix.model import MAX_TABLE_SIZE, sort_key
 
 
 @pytest.fixture()
@@ -229,6 +230,47 @@ def test_enumerate_width_bound(capsys):
     argv = ["enumerate", "--max-weight", "1", "--max-width", str(MAX_EDGE_WEIGHT)]
     assert main([*argv, "--gaps", "1,1,1,1,1", "--threads", "1"]) == 0
     assert capsys.readouterr().out.startswith("configurations found: 0\n")
+
+
+
+def test_enumerate_table_bound():
+    # cell (2, 4) of these gaps spans 735,134,400, which has 1,344 divisors:
+    # the table of their 4-multisets (1.4e11) is refused before it is built,
+    # in a child whose address space is capped so that building it fails fast
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000 << 10, 1_500_000 << 10))
+
+    argv = ["--max-weight", "1000000000", "--gaps", "1,1,1,735134399,1", "--node-limit", "1000"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hamfix.cli", "enumerate", *argv, "--threads", "1"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=cap_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    size = comb(1343 + 3, 4)
+    message = f"a cell allows 1343 weights, whose {size} multisets of 4 exceed {MAX_TABLE_SIZE}"
+    assert proc.stderr == f"error: {message}\n"
+    # the bound: 68 weights make 971,635 multisets of 4, 69 make 1,028,790
+    assert comb(68 + 3, 4) <= MAX_TABLE_SIZE < comb(69 + 3, 4)
+    with pytest.raises(SpecError):
+        search._tables(tuple(range(1, 70)), 0)
+
+
+def test_cold_start_imports_neither_dataclasses_nor_inspect():
+    # every command and benchmark repetition starts a fresh interpreter;
+    # importing dataclasses pulls in inspect, ast, dis and tokenize, so none
+    # of import, a builtin or a small verifier may reach it, lazily or not
+    code = (
+        "import sys, hamfix, hamfix.cli\n"
+        "from hamfix import builtin, verify_theorem4\n"
+        "assert builtin('o').label == 'o'\n"
+        "assert verify_theorem4(1, 3, workers=1).passed\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_edge_weight_bound(tmp_path, capsys):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import collections
-import dataclasses
 import hashlib
 import json
 import pickle
@@ -528,8 +527,8 @@ def test_effectiveness_flag(o):
         MomentProfile(tuple(2 * v for v in o.moment)),
         tuple(WeightEdge(e.lo, e.hi, 2 * e.w, e.mult) for e in o.edges),
     )
-    assert check_all(dataclasses.replace(doubled, effective=False)).passed
-    report = check_all(dataclasses.replace(doubled, effective=True))
+    assert check_all(doubled._replace(effective=False)).passed
+    report = check_all(doubled._replace(effective=True))
     assert not report.passed
     assert {v.rule for v in report.violations} == {"Effectiveness"}
 
@@ -603,7 +602,7 @@ def test_is_valid_matches_check_all_random_mutants():
     outcomes = set()
     for c in _random_mutant_corpus():
         for eff in (None, True, False):
-            flagged = c if eff is None else dataclasses.replace(c, effective=eff)
+            flagged = c if eff is None else c._replace(effective=eff)
             passed = check_all(flagged).passed
             assert is_valid(flagged) == passed, (c.label, eff)
             outcomes.add(passed)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pickle
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -82,6 +83,39 @@ def test_weight_edge_validation():
     assert pickle.loads(pickle.dumps(good)) == good
     with pytest.raises(ValueError):
         good._replace(w=0)
+
+
+
+def test_moment_profile_record_contract():
+    # __new__ runs on unpickling and _replace too, and no field can be assigned
+    prof = MomentProfile([0, 1, 4, 6, 9, 10])
+    assert prof.values == (0, 1, 4, 6, 9, 10)
+    assert pickle.loads(pickle.dumps(prof)) == prof
+    for values in ((1, 2, 3, 4, 5, 6), (0, 2, 2, 3, 4, 5), (0, 1, 2, 3, 4)):
+        smuggled = pickle.dumps(tuple.__new__(MomentProfile, (values,)))
+        with pytest.raises(ValueError):
+            pickle.loads(smuggled)
+        with pytest.raises(ValueError):
+            prof._replace(values=values)
+    with pytest.raises(AttributeError):
+        prof.values = (0, 1, 2, 3, 4, 5)
+
+
+def test_configuration_record_contract(o):
+    # unpickling and _replace build through __new__, which validates and
+    # sorts and merges the edges; no attribute can be assigned
+    bad = SimpleNamespace(lo=0, hi=1, w=0, mult=1)
+    smuggled = pickle.dumps(tuple.__new__(Configuration, (o.profile, (bad,), "", False)))
+    with pytest.raises(ValueError):
+        pickle.loads(smuggled)
+    with pytest.raises(ValueError):
+        o._replace(edges=(*o.edges, bad))
+    doubled = o._replace(edges=(*reversed(o.edges), *o.edges), label="doubled")
+    assert doubled.edges == tuple(e._replace(mult=2) for e in o.edges)
+    assert doubled.label == "doubled" and doubled.profile is o.profile
+    for name in ("profile", "edges", "label", "effective", "weight_system"):
+        with pytest.raises(AttributeError):
+            setattr(o, name, None)
 
 
 def test_weight_edge_is_its_field_tuple():

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import collections
-import dataclasses
 import itertools
 import json
+import pickle
 import random
 import subprocess
 import sys
@@ -86,6 +86,27 @@ def test_spec_validation():
     ):
         with pytest.raises(SpecError):
             SearchSpec(**{"max_weight": 5, "max_width": 10, **bad})
+
+
+
+def test_spec_record_contract():
+    # a named tuple whose __new__ checks and normalizes it: unpickling and
+    # _replace run the same checks, and no field can be assigned
+    spec = SearchSpec(5, gaps=[1, 3, 2, 3, 1])
+    assert spec.max_width == 50 and spec.gaps == (1, 3, 2, 3, 1)
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    for fields in ((0, 10), (5, 4), (5, 10, 9), (5, 10, None, (), 1)):
+        padded = SearchSpec(5, 10)[len(fields):]
+        smuggled = pickle.dumps(tuple.__new__(SearchSpec, (*fields, *padded)))
+        with pytest.raises(SpecError):
+            pickle.loads(smuggled)
+    with pytest.raises(SpecError):
+        spec._replace(max_weight=0)
+    with pytest.raises(SpecError):
+        spec._replace(gaps=(3, 2, 3, 1, 1))
+    assert spec._replace(largest_from=[(5, 0)]).largest_from == ((0, 5),)
+    with pytest.raises(AttributeError):
+        spec.max_weight = 6
 
 
 def test_pinned_gaps_match_open_search():
@@ -384,7 +405,7 @@ def test_balance_cut_matches_leaf_screen(spec):
     # the per-cell balance cut and floor-aware targets against the leaf screen
     # alone, on filtered and pinned searches that emit configurations
     fast = enumerate_configurations(spec, workers=1)
-    slow = enumerate_configurations(dataclasses.replace(spec, prune_balance=False), workers=1)
+    slow = enumerate_configurations(spec._replace(prune_balance=False), workers=1)
     assert fast.configurations and fast.configurations == slow.configurations
     assert fast.stats.nodes < slow.stats.nodes and slow.stats.pruned["balance"] == 0
 
