@@ -88,6 +88,20 @@ def u_tilde(c: Configuration) -> EquivariantClass:
     return EquivariantClass(2, tuple(Fraction(-v) for v in c.profile.values))
 
 
+def gap_products(phi) -> tuple[int, ...]:
+    """``d[i]``, the product of the moment gaps phi_x - phi_i from vertex i
+    down to every lower vertex x, for the moment values ``phi``.  Its sign
+    is (-1)^i, like that of the product of the i negative weights at i,
+    which must divide it (``ring_presentation``)."""
+    out = []
+    for i in range(N_POINTS):
+        d = 1
+        for x in range(i):
+            d *= phi[x] - phi[i]
+        out.append(d)
+    return tuple(out)
+
+
 def ring_presentation(c: Configuration) -> RingPresentation:
     """Multipliers of the integral generators in each even degree.
 
@@ -95,14 +109,10 @@ def ring_presentation(c: Configuration) -> RingPresentation:
     product of the moment gaps down from it.  Raises IntegralityError when
     some 1/q_i is not an integer, DualityError when q_i q_{5-i} != q_5.
     """
-    phi = c.profile.values
     ws = c.weight_system
     q = []
     a = []
-    for i in range(N_POINTS):
-        denom = 1
-        for j in range(i):
-            denom *= phi[j] - phi[i]
+    for i, denom in enumerate(gap_products(c.profile.values)):
         lam_minus = ws.lam_minus[i]
         if denom % lam_minus:
             raise IntegralityError(

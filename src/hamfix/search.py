@@ -32,7 +32,7 @@ floor-slot count, then ``_uneven``'s packed per-vertex counts of k-divisible
 weights, then the rule walk's isotropy-component pass on the raw cells, then,
 for the survivors only, the objects, ``is_valid``, the filters and Chern
 integrality.  ``_search_gap`` counts the rejected leaves and sends every
-accepted one to the sink.  Four pruning rules can be
+accepted one to the sink.  Five pruning rules can be
 toggled off independently, in which case the same final set is produced by
 brute force:
 
@@ -45,7 +45,12 @@ brute force:
                       least one of them (why that is the global balance:
                       ``_search_gap``; with it off, the walk runs at floor
                       1 and the leaf is screened for a weight-1 slot on
-                      any other cell).
+                      any other cell);
+* ``ring``         -- cut a cell whose weights leave the product of vertex
+                      j's downward weights no divisor of the product of
+                      its moment gaps down to every lower vertex, the ring
+                      integrality ``cohomology.ring_presentation`` tests
+                      (``_search_gap``).
 
 The reversed action gives an equivalent configuration, so one member of
 each mirror pair is kept: only mirror-canonical gap vectors are walked, and
@@ -72,7 +77,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import cache
 from itertools import accumulate, combinations, combinations_with_replacement
-from math import comb, gcd
+from math import comb, gcd, prod
 
 from . import cohomology
 from .constraints import C1_MAX, C1_MIN, _iter_components, compute_c1, is_valid
@@ -94,8 +99,8 @@ from .model import (
     sort_key,
 )
 
-PRUNE_RULES = ("extremal", "gamma", "slot", "balance", "final")
-_TOGGLES = ("divisibility", "extremal", "gamma", "balance")
+PRUNE_RULES = ("extremal", "gamma", "slot", "balance", "ring", "final")
+_TOGGLES = ("divisibility", "extremal", "gamma", "balance", "ring")
 
 
 class BudgetExceeded(RuntimeError):
@@ -110,7 +115,7 @@ class SearchSpec(
     _record(
         "SearchSpec",
         "max_weight max_width c1 largest_from require_effective gaps"
-        " prune_divisibility prune_extremal prune_gamma prune_balance node_limit",
+        " prune_divisibility prune_extremal prune_gamma prune_balance prune_ring node_limit",
     )
 ):
     """Bounds, filters and pruning toggles for one enumeration run, checked
@@ -131,6 +136,7 @@ class SearchSpec(
         prune_extremal: bool = True,
         prune_gamma: bool = True,
         prune_balance: bool = True,
+        prune_ring: bool = True,
         node_limit: int | None = None,
     ) -> "SearchSpec":
         for name, v in (("max_weight", max_weight), ("max_width", max_width), ("c1", c1),
@@ -139,7 +145,7 @@ class SearchSpec(
                 max_width = 2 * DIM * max_weight
             elif not _is_int(v) and not (v is None and name in ("c1", "node_limit")):
                 raise SpecError(f"{name} must be an integer, got {v!r}")
-        toggles = (prune_divisibility, prune_extremal, prune_gamma, prune_balance)
+        toggles = (prune_divisibility, prune_extremal, prune_gamma, prune_balance, prune_ring)
         names = ("require_effective", *(f"prune_{rule}" for rule in _TOGGLES))
         for name, v in zip(names, (require_effective, *toggles)):
             if not isinstance(v, bool):
@@ -287,10 +293,13 @@ def _in_reach(spec: SearchSpec, gaps: tuple[int, ...], targets: list, floor: int
 @cache
 def _tables(allowed: tuple[int, ...], wm: int) -> tuple:
     """``tables[m]`` for m = 0..DIM-1: the size-m multisets of the sorted
-    ``allowed`` weights sorted by sum, as ``(sums, multisets, counts)``,
-    where ``counts[k]`` is how many ``wm`` the k-th multiset holds (none for
-    ``wm`` 0).  Built once per ``(allowed, wm)`` in the process and shared by
-    every plan and cell that allows those weights and counts that weight.
+    ``allowed`` weights sorted by sum, as ``(sums, multisets, counts,
+    prods)``, where ``counts[k]`` is how many ``wm`` the k-th multiset holds
+    (none for ``wm`` 0) and ``prods[k]`` is the product of its weights, the
+    factor the ``ring`` cut charges to the cell's upper vertex
+    (``_search_gap``).  Built once per ``(allowed, wm)`` in the process and
+    shared by every plan and cell that allows those weights and counts that
+    weight.
     No cell places DIM slots: a cell places at most its lower vertex i's
     DIM - i upward slots, and cell (0, 1), vertex 1's only downward cell,
     takes one of vertex 0's before any other cell of row 0.  A SpecError
@@ -305,7 +314,8 @@ def _tables(allowed: tuple[int, ...], wm: int) -> tuple:
     for m in range(DIM):
         # stable on the lexicographic order the combinations come in
         msets = tuple(sorted(combinations_with_replacement(allowed, m), key=sum))
-        built.append((tuple(map(sum, msets)), msets, tuple(ws.count(wm) for ws in msets)))
+        counts = tuple(ws.count(wm) for ws in msets)
+        built.append((tuple(map(sum, msets)), msets, counts, tuple(map(prod, msets))))
     return tuple(built)
 
 
@@ -432,12 +442,20 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
     endpoint vertices able to reach their targets with the slots they have
     left.
 
+    With ``ring`` on, ``dfs`` also keeps the product of the weights placed
+    on each vertex j's downward cells (x, j), and cuts a multiset at cell
+    (i, j) that leaves it no divisor of ``cohomology.gap_products``' d[j],
+    the product of j's moment gaps to every lower vertex: the leaf's
+    ``ring_presentation`` needs the full product to divide d[j], and a
+    partial product that does not only grows into a full one that does not.
+
     ``dfs`` counts in local ints: ``nodes`` starts from ``stats.nodes``, so
     the node limit is tested against the running total, and the
-    ``gamma``/``slot``/``balance``/``final`` counts start from 0.  ``balance``
-    counts the multisets the last floor cell cuts, and one per skipped
-    floor.  They are written back to ``stats`` once, when the gap vector's
-    walks end or a ``BudgetExceeded`` leaves them.
+    ``gamma``/``slot``/``balance``/``ring``/``final`` counts start from 0.
+    ``balance`` counts the multisets the last floor cell cuts, and one per
+    skipped floor; ``ring`` the multisets the product cut drops.  They are
+    written back to ``stats`` once, when the gap vector's walks end or a
+    ``BudgetExceeded`` leaves them.
     """
     pruned = stats.pruned
     maxw = spec.max_weight
@@ -460,12 +478,15 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
     limit = spec.node_limit
     root = _slots(0, tuple(DIM - v for v in range(N_POINTS)), tuple(range(N_POINTS)))
     psum = [0] * N_POINTS
+    # 0 is a multiple of every product, so with ``ring`` off nothing is cut
+    gap_prods = cohomology.gap_products(phi) if spec.prune_ring else (0,) * N_POINTS
+    pprod = [1] * N_POINTS
     acc: list = [None] * n_cells
     nodes = stats.nodes
-    n_gamma = n_slot = n_balance = n_final = 0
+    n_gamma = n_slot = n_balance = n_ring = n_final = 0
 
     def dfs(ci: int, seen: int, slots) -> None:
-        nonlocal nodes, n_gamma, n_slot, n_balance, n_final
+        nonlocal nodes, n_gamma, n_slot, n_balance, n_ring, n_final
         if ci == n_cells:
             config = _leaf(spec, phi, acc, seen)
             if config is None:
@@ -483,11 +504,13 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
             need_j = psum[j] - targets[j]
             j_lo, j_hi = need_j + up_j_lo, need_j + up_j_hi
         pi, pj = psum[i], psum[j]
+        # vertex j's downward weights so far must multiply to a divisor of d[j]
+        pp, dj = pprod[j], gap_prods[j]
         # the leaf's last chance of a floor slot
         need = ci == last_floor and not seen
         nxt = ci + 1
         for m, rest_i, rest_j, after in moves:
-            sums, msets, counts = tables[m]
+            sums, msets, counts, prods = tables[m]
             a = 0
             b = n_sets = len(sums)
             if targets is not None:
@@ -509,15 +532,21 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
                 if need and not c:
                     n_balance += 1
                     continue
+                p = pp * prods[k]
+                if dj % p:
+                    n_ring += 1
+                    continue
                 nodes += 1
                 if limit is not None and nodes > limit:
                     raise BudgetExceeded(f"node limit {limit} exceeded")
                 s = sums[k]
                 psum[i] = pi + s
                 psum[j] = pj - s
+                pprod[j] = p
                 acc[ci] = msets[k]
                 dfs(nxt, seen + c, after)
         psum[i], psum[j] = pi, pj
+        pprod[j] = pp
 
     try:
         for n, wm in enumerate(floors):
@@ -537,6 +566,7 @@ def _search_gap(spec: SearchSpec, gaps: tuple[int, ...], stats: SearchStats, sin
         pruned["gamma"] += n_gamma
         pruned["slot"] += n_slot
         pruned["balance"] += n_balance
+        pruned["ring"] += n_ring
         pruned["final"] += n_final
 
 
@@ -548,14 +578,16 @@ def _leaf(spec: SearchSpec, phi: tuple[int, ...], acc, seen: int) -> Configurati
     The gates run in this order: the global smallest-weight balance,
     ``_uneven`` (most leaves die there), the rule walk's isotropy-component
     pass on the raw cells, then, for the few leaves that pass all three, the
-    objects (the moment profile first), ``is_valid``, the filters and Chern
-    integrality.  ``seen`` is the walk's count of floor slots
-    (``_cell_plan``).  With ``balance`` on, the plan balances every leaf.
-    With it off, ``seen`` counts the weight-1 slots on cells (i, j) with j >
-    i + 1, and the leaf is rejected if it holds one: on a leaf holding a
-    weight-1 slot that is exactly the global rule (``_search_gap``), and a leaf
-    without one is left to ``is_valid``.  Each screen is a rule ``is_valid``
-    also checks, so it only rejects earlier.
+    objects (the moment profile first), ``is_valid``, the filters and
+    ``total_chern``.  With ``ring`` on, the walk has already made the
+    generator multipliers integral at vertices 1..5, so ``total_chern`` is
+    left to reject on duality and on the Chern rows.  ``seen`` is the walk's
+    count of floor slots (``_cell_plan``).  With ``balance`` on, the plan
+    balances every leaf.  With it off, ``seen`` counts the weight-1 slots on
+    cells (i, j) with j > i + 1, and the leaf is rejected if it holds one: on
+    a leaf holding a weight-1 slot that is exactly the global rule
+    (``_search_gap``), and a leaf without one is left to ``is_valid``.  Each
+    screen is a rule ``is_valid`` also checks, so it only rejects earlier.
     """
     if (seen and not spec.prune_balance) or _uneven(acc):
         return None

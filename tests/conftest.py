@@ -193,6 +193,7 @@ def all_off_walk():
             prune_extremal=False,
             prune_gamma=False,
             prune_balance=False,
+            prune_ring=False,
         )
     )
 

@@ -58,9 +58,9 @@ THM3_WS = (
 #: the thm4 searches' statistics, nodes and then the counts pruned per rule:
 #: the only tier-1 searches through the largest-weight and effectiveness filters
 THM4_STATS = {
-    (1, 3): (883, 0, 1393, 74, 0, 34),
-    (2, 3): (1764, 0, 5765, 67, 6, 9),
-    (1, 6): (2519, 0, 7760, 322, 0, 66),
+    (1, 3): (442, 0, 812, 30, 0, 32, 11),
+    (2, 3): (705, 0, 2836, 31, 0, 147, 1),
+    (1, 6): (702, 0, 2644, 71, 0, 86, 2),
 }
 
 
@@ -139,7 +139,7 @@ def test_criterion_05_theorem1_desk_scale():
     assert report.passed
     assert report.data["configurations"] == 0
     assert elapsed < 300
-    assert report.stats.to_dict() == _stats(200783, 276864, 538044, 14107, 15015, 2805)
+    assert report.stats.to_dict() == _stats(148312, 276864, 432893, 9877, 11470, 5651, 1613)
     sharp = verify_theorem1(max_weight=5)
     assert sharp.passed
     systems = {tuple(tuple(row) for row in w) for w in sharp.data["weight_systems"]}
@@ -202,6 +202,7 @@ def test_criterion_10i_oracle_equivalence(closed_form_leaves, all_off_walk):
         prune_extremal=False,
         prune_gamma=False,
         prune_balance=False,
+        prune_ring=False,
     )
     assert pruned.configurations == brute.configurations
     # both pools are empty, so the brute force's leaves are also counted

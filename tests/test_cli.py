@@ -299,7 +299,7 @@ def test_enumerate_no_prune_every_rule(capsys):
     argv = ["enumerate", "--max-weight", "2", "--max-width", "6", "--threads", "1", "--json"]
     assert main(argv) == 0
     base = json.loads(capsys.readouterr().out)
-    rules = ["divisibility", "extremal", "gamma", "balance"]
+    rules = ["divisibility", "extremal", "gamma", "balance", "ring"]
     for rule in rules:
         assert main(argv + ["--no-prune", rule]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -118,8 +118,8 @@ def test_pinned_gaps_match_open_search():
         expected = tuple(c for c in open_res.configurations if c.profile.gaps == gaps)
         assert pinned.configurations == expected
         assert bool(expected) == (gaps != (1, 1, 1, 1, 2))
-    # moved with the floor on consecutive cells only (final unchanged)
-    assert open_res.stats.to_dict() == _stats(17994, 1, 30746, 1192, 462, 431)
+    # moved with the ring cut on downward weight products
+    assert open_res.stats.to_dict() == _stats(10652, 1, 19826, 615, 440, 862, 156)
 
 
 def test_gap_vectors_match_brute_force():
@@ -177,27 +177,34 @@ def test_enumerate_largest_from_c1_filter():
         assert c.profile.gaps == (1, 3, 2, 3, 1)
 
 
-# (nodes, extremal, gamma, slot, balance, final) at (2,6): a pruning change
-# that moves these must update the pin and say why.  The balance-on rows
-# moved when the floor weight was allowed on consecutive cells only, and all
-# rows when the short slot cut kept room for vertex 4's upward slot
+# (nodes, extremal, gamma, slot, balance, ring, final) at (2,6): a pruning
+# change that moves these must update the pin and say why.  The balance-on
+# rows moved when the floor weight was allowed on consecutive cells only, all
+# rows when the short slot cut kept room for vertex 4's upward slot, and all
+# but the ring row when the ring cut came in
 _STATS_2_6 = {
-    None: (67, 0, 24, 3, 0, 4),
-    "divisibility": (1422, 0, 531, 66, 0, 184),
-    "extremal": (67, 0, 27, 3, 1, 4),
-    "gamma": (711, 0, 0, 43, 0, 50),
-    "balance": (6375, 0, 3580, 180, 0, 857),
+    None: (35, 0, 18, 3, 0, 4, 0),
+    "divisibility": (543, 0, 336, 66, 0, 177, 0),
+    "extremal": (35, 0, 21, 3, 1, 4, 0),
+    "gamma": (230, 0, 0, 17, 0, 31, 10),
+    "balance": (6326, 0, 3518, 180, 0, 5, 853),
+    "ring": (67, 0, 24, 3, 0, 0, 4),
 }
 
 
-def _stats(nodes, extremal, gamma, slot, balance, final):
+def _stats(nodes, extremal, gamma, slot, balance, ring, final):
     pruned = {
-        "extremal": extremal, "gamma": gamma, "slot": slot, "balance": balance, "final": final
+        "extremal": extremal,
+        "gamma": gamma,
+        "slot": slot,
+        "balance": balance,
+        "ring": ring,
+        "final": final,
     }
     return {"nodes": nodes, "pruned": pruned}
 
 
-@pytest.mark.parametrize("toggle", ["divisibility", "extremal", "gamma", "balance"])
+@pytest.mark.parametrize("toggle", ["divisibility", "extremal", "gamma", "balance", "ring"])
 def test_single_toggle_soundness_small(toggle):
     base = enumerate_configurations(SearchSpec(2, 6), workers=1)
     alt = enumerate_configurations(
@@ -340,14 +347,14 @@ def test_leaf_component_screen_matches_check_all(balance):
             assert first is None or first in expected, edges
     if not balance:
         # rejected by the screen, passed with a weight-1 slot, no weight-1 slot
-        assert kinds == {(False, True): 32968, (True, True): 433, (True, False): 410}
+        assert kinds == {(False, True): 24945, (True, True): 160, (True, False): 391}
         assert res.stats.pruned["final"] >= kinds[False, True]
         assert {rule: len(group) for rule, group in by_rule.items()} == {
             None: 1538,
-            "ComponentRegularity": 24743,
-            "IndexBound": 65,
-            "SmallestWeightBalance": 5239,
-            "ModK": 2226,
+            "ComponentRegularity": 17253,
+            "IndexBound": 14,
+            "SmallestWeightBalance": 4529,
+            "ModK": 2162,
         }
 
 
@@ -386,7 +393,7 @@ def test_balance_toggle_soundness_nonempty_pool():
     no_balance = enumerate_configurations(SearchSpec(5, 10, prune_balance=False), workers=1)
     assert len(base.configurations) == 4
     assert no_balance.configurations == base.configurations
-    assert no_balance.stats.nodes == 450169  # the walk without in-DFS balance cuts
+    assert no_balance.stats.nodes == 335253  # the walk without in-DFS balance cuts
     assert no_balance.stats.pruned["balance"] == 0
     # every member carries the localization certificate, with volume > 0
     assert [_localization_certificate(c) for c in base.configurations] == [1, 2, 18, 18]
@@ -408,6 +415,30 @@ def test_balance_cut_matches_leaf_screen(spec):
     slow = enumerate_configurations(spec._replace(prune_balance=False), workers=1)
     assert fast.configurations and fast.configurations == slow.configurations
     assert fast.stats.nodes < slow.stats.nodes and slow.stats.pruned["balance"] == 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(5, 10),
+        SearchSpec(
+            5, 10, largest_from=((0, 5), (1, 3), (2, 4)), require_effective=True, gaps=(1, 3, 2, 3, 1)
+        ),
+        SearchSpec(
+            7, 14, largest_from=((0, 5), (1, 3), (2, 4)), require_effective=True, gaps=(2, 3, 4, 3, 2)
+        ),
+    ],
+    ids=["5-10", "thm4-1-3", "thm4-2-3"],
+)
+def test_ring_cut_matches_leaf_ring_test(spec):
+    # the per-cell cut on vertex j's downward weight product against the
+    # leaf's ring_presentation alone: a partial product that does not divide
+    # j's gap product only grows into a full one that does not
+    fast = enumerate_configurations(spec, workers=1)
+    slow = enumerate_configurations(spec._replace(prune_ring=False), workers=1)
+    assert fast.configurations and fast.configurations == slow.configurations
+    assert fast.stats.nodes < slow.stats.nodes
+    assert fast.stats.pruned["ring"] > 0 == slow.stats.pruned["ring"]
 
 
 def _reachable_sums(up, down, floor, maxw):
@@ -529,11 +560,13 @@ def test_cell_plan_matches_its_definition(spec, sample):
         for (i, j), entry in zip(PAIRS, plan):
             ei, ej, tables, *bounds = entry
             assert (ei, ej) == (i, j)
-            # the size-1 multisets are the allowed weights, each counted if it is the floor
+            # the size-1 multisets are the allowed weights, each counted if it
+            # is the floor and each its own product
             counted = floor if balance or j > i + 1 else 0
-            _, singles, counts = tables[1]
+            _, singles, counts, prods = tables[1]
             assert singles == tuple((w,) for w in allowed[i, j]), (gaps, floor, i, j)
             assert counts == tuple(int(w == counted) for w in allowed[i, j])
+            assert prods == tuple(allowed[i, j])
             row = span([(i, l) for l in range(j + 1, N_POINTS)])
             up_j = span([(j, l) for l in range(j + 1, N_POINTS)])
             down = span([(l, j) for l in range(i + 1, j)])
@@ -589,13 +622,14 @@ def test_full_brute_force_equivalence_tiny(closed_form_leaves):
             prune_extremal=False,
             prune_gamma=False,
             prune_balance=False,
+            prune_ring=False,
         ),
         workers=1,
     )
     assert pruned.configurations == brute.configurations
     assert brute.stats.nodes >= pruned.stats.nodes
     # the DFS without targets, with the raw leaf screen on
-    assert brute.stats.to_dict() == _stats(11040, 0, 0, 388, 0, 1564)
+    assert brute.stats.to_dict() == _stats(11040, 0, 0, 388, 0, 0, 1564)
     # every leaf the slot cuts let through, against the closed form
     assert brute.stats.pruned["final"] + len(brute.configurations) == closed_form_leaves(1, 6)
 
@@ -605,7 +639,13 @@ def test_divisibility_walk_matches_closed_form():
     # (1,1,1,1,1) walk allows the divisors of its gap j - i up to the weight;
     # every leaf the walk reaches, against the closed form over those counts
     spec = SearchSpec(
-        5, 5, gaps=(1, 1, 1, 1, 1), prune_extremal=False, prune_gamma=False, prune_balance=False
+        5,
+        5,
+        gaps=(1, 1, 1, 1, 1),
+        prune_extremal=False,
+        prune_gamma=False,
+        prune_balance=False,
+        prune_ring=False,
     )
     res = enumerate_configurations(spec, workers=1)
     counts = [sum((j - i) % w == 0 for w in range(1, 6)) for i, j in CELLS]
@@ -628,10 +668,10 @@ def test_import_loads_no_process_pool():
 
 def test_determinism_across_workers():
     # two filtered searches that emit configurations through the leaf gate;
-    # the stats moved with the floor on consecutive cells only (final unchanged)
+    # the stats moved with the ring cut on downward weight products
     for spec, stats in (
-        (SearchSpec(5, 8, require_effective=True), (2798, 0, 5231, 161, 1, 67)),
-        (SearchSpec(5, 10, largest_from=((0, 5),), c1=3), (11308, 1, 19721, 739, 65, 256)),
+        (SearchSpec(5, 8, require_effective=True), (1409, 0, 3155, 71, 0, 204, 10)),
+        (SearchSpec(5, 10, largest_from=((0, 5),), c1=3), (5859, 1, 11747, 337, 48, 622, 47)),
     ):
         docs = []
         for workers in (1, 2, 4):
@@ -746,8 +786,8 @@ def test_verifiers_share_one_search(cold_pool, monkeypatch):
     reports.append(verify_theorem3(workers=1))
     assert all(r.passed for r in reports)
     assert calls == [SearchSpec(5, 10)]
-    # moved with the floor on consecutive cells only (final unchanged)
-    assert reports[2].stats.to_dict() == _stats(17994, 1, 30746, 1192, 462, 431)
+    # moved with the ring cut on downward weight products
+    assert reports[2].stats.to_dict() == _stats(10652, 1, 19826, 615, 440, 862, 156)
 
 
 def _doubled_05(o):
